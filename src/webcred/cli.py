@@ -87,31 +87,42 @@ def _load_tweets(path: str | Path) -> tuple[list[ingest.TweetRecord], int]:
     return normalized, skipped
 
 
+def _docs_for_urls(
+    docs_path: str | Path, urls: list[str], kind: str
+) -> list[ingest.WebDocument]:
+    """The documents of ``urls`` in url order; ``kind`` names the urls in
+    the error raised when some are missing from the document set."""
+    docs = _load_docs(docs_path)
+    missing = [u for u in urls if u not in docs]
+    if missing:
+        raise DataError(
+            f"{len(missing)} {kind} urls missing from the document set, "
+            f"first: {missing[0]}"
+        )
+    return [docs[u] for u in urls]
+
+
 def _labelled_corpus(
     docs_path: str | Path, labels_path: str | Path
 ) -> tuple[list[str], list[list[str]], dict[int, list[int]]]:
     """Join labels.csv with documents; returns (urls, token docs, labels
     per criterion) with urls in sorted order."""
-    docs = _load_docs(docs_path)
     labels = credibility.read_labels_csv(labels_path)
     urls = sorted(labels)
-    missing = [u for u in urls if u not in docs]
-    if missing:
-        raise DataError(
-            f"{len(missing)} labelled urls missing from the document set, "
-            f"first: {missing[0]}"
-        )
-    token_docs = [tokenize(clean_text(docs[u].text)) for u in urls]
+    docs = _docs_for_urls(docs_path, urls, "labelled")
+    token_docs = [tokenize(clean_text(doc.text)) for doc in docs]
     labels_by_criterion = {
         k: [labels[u][k - 1] for u in urls] for k in range(1, credibility.N_CRITERIA + 1)
     }
     return urls, token_docs, labels_by_criterion
 
 
-def _filtered_docs(args) -> tuple[list[ingest.WebDocument], ingest.FilterReport]:
-    docs = list(_load_docs(args.docs).values())
-    retained, report = ingest.filter_corpus(docs, min_words=args.min_words)
-    deduped = ingest.dedupe_near_duplicates(retained, jaccard_threshold=args.jaccard)
+def _filtered_docs(
+    path: str | Path, min_words: int, jaccard: float
+) -> tuple[list[ingest.WebDocument], ingest.FilterReport]:
+    docs = list(_load_docs(path).values())
+    retained, report = ingest.filter_corpus(docs, min_words=min_words)
+    deduped = ingest.dedupe_near_duplicates(retained, jaccard_threshold=jaccard)
     report.duplicate = len(retained) - len(deduped)
     report.retained = len(deduped)
     return deduped, report
@@ -121,8 +132,7 @@ def _cmd_ingest(args, manifest: RunManifest) -> None:
     manifest.record_input(args.webpages)
     manifest.record_input(args.tweets)
     manifest.record_input(args.reference_urls)
-    args.docs = args.webpages
-    deduped, report = _filtered_docs(args)
+    deduped, report = _filtered_docs(args.webpages, args.min_words, args.jaccard)
     payload = report.to_dict()
     if args.tweets:
         records, skipped = _load_tweets(args.tweets)
@@ -160,7 +170,6 @@ def _cmd_cv(args, manifest: RunManifest) -> None:
         },
         k=args.folds,
         seed=args.seed,
-        threads=args.threads,
     )
     report.write_csv(args.out)
     manifest.record_output(args.out)
@@ -185,7 +194,6 @@ def _cmd_train(args, manifest: RunManifest) -> None:
             labels_by_criterion[criterion],
             params[family],
             seed=stream_seed(args.seed, criterion),
-            threads=args.threads,
         )
     ensemble = credibility.build_ensemble(cv_report, trained)
     _write_json(credibility.ensemble_to_dict(ensemble, tfidf), args.out)
@@ -206,7 +214,6 @@ def _cmd_grid(args, manifest: RunManifest) -> None:
         grid=grid,
         k=args.folds,
         seed=args.seed,
-        threads=args.threads,
     )
     with open(args.out, "w", newline="") as fh:
         fh.write(
@@ -232,7 +239,7 @@ def _cmd_score(args, manifest: RunManifest) -> None:
     manifest.record_input(args.model)
     manifest.record_input(args.docs)
     ensemble, tfidf = _load_model(args.model)
-    deduped, _report = _filtered_docs(args)
+    deduped, _report = _filtered_docs(args.docs, args.min_words, args.jaccard)
     results = [
         (doc.url, credibility.predict_credibility(doc, ensemble, tfidf))
         for doc in deduped
@@ -246,19 +253,11 @@ def _cmd_evaluate(args, manifest: RunManifest) -> None:
     manifest.record_input(args.docs)
     manifest.record_input(args.labels)
     ensemble, tfidf = _load_model(args.model)
-    docs = _load_docs(args.docs)
     labels = credibility.read_labels_csv(args.labels)
     urls = sorted(labels)
-    missing = [u for u in urls if u not in docs]
-    if missing:
-        raise DataError(
-            f"{len(missing)} labelled urls missing from the document set, "
-            f"first: {missing[0]}"
-        )
+    docs = _docs_for_urls(args.docs, urls, "labelled")
     gold = [labels[u] for u in urls]
-    report = credibility.evaluate_ensemble(
-        [docs[u] for u in urls], gold, ensemble, tfidf
-    )
+    report = credibility.evaluate_ensemble(docs, gold, ensemble, tfidf)
     _write_json(report, args.out)
     manifest.record_output(args.out)
     credibility.write_label_distribution_csv(gold, args.distribution)
@@ -296,19 +295,13 @@ def _cmd_kappa(args, manifest: RunManifest) -> None:
 def _cmd_terms(args, manifest: RunManifest) -> None:
     manifest.record_input(args.docs)
     manifest.record_input(args.scores)
-    docs = _load_docs(args.docs)
     scored = credibility.read_scores_csv(args.scores)
     urls = sorted(scored)
-    missing = [u for u in urls if u not in docs]
-    if missing:
-        raise DataError(
-            f"{len(missing)} scored urls missing from the document set, "
-            f"first: {missing[0]}"
-        )
-    tokens_by_url = {u: tokenize(clean_text(docs[u].text)) for u in urls}
-    low = [tokens_by_url[u] for u in urls if scored[u].bucket == "low"]
-    other = [tokens_by_url[u] for u in urls if scored[u].bucket != "low"]
-    vocab = build_vocabulary(list(tokens_by_url.values()), min_df=args.min_df)
+    docs = _docs_for_urls(args.docs, urls, "scored")
+    token_docs = [tokenize(clean_text(doc.text)) for doc in docs]
+    low = [t for u, t in zip(urls, token_docs) if scored[u].bucket == "low"]
+    other = [t for u, t in zip(urls, token_docs) if scored[u].bucket != "low"]
+    vocab = build_vocabulary(token_docs, min_df=args.min_df)
     ranked = stats.term_significance(low, other, vocab)
     stats.write_terms_csv(ranked, args.out)
     manifest.record_output(args.out)
@@ -371,7 +364,6 @@ HANDLERS = {
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    sub.add_argument("--threads", type=int, default=1, help="worker thread bound")
     sub.add_argument(
         "--manifest",
         default=None,

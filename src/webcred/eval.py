@@ -147,19 +147,29 @@ def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport
     return CvReport(rows=rows, folds=folds)
 
 
-def crossvalidate_criterion(
+def fold_summary(f1s: Sequence[float], accs: Sequence[float]) -> dict[str, float]:
+    """Mean and population (divide-by-N) standard deviation of fold metrics."""
+    return {
+        "f1_mean": float(np.mean(f1s)),
+        "f1_std": float(np.std(f1s)),
+        "acc_mean": float(np.mean(accs)),
+        "acc_std": float(np.std(accs)),
+    }
+
+
+def crossvalidate_candidates(
     token_docs: Sequence[Sequence[str]],
     labels: Sequence[int],
-    family: str,
-    params: dict | None = None,
+    candidates: Sequence[tuple[str, dict | None]],
     k: int = DEFAULT_FOLDS,
     seed: int = 0,
-    threads: int = 1,
-) -> tuple[list[float], list[float]]:
-    """Per-fold (F1, accuracy) lists for one criterion's labels.
+) -> list[tuple[list[float], list[float]]]:
+    """Per-fold (F1, accuracy) lists for each (family, params) candidate.
 
-    Fold f trains with substream seed stream_seed(seed, f), so folds can
-    be evaluated in any order with identical results.
+    Every candidate is scored on the same folds, and each fold's
+    vocabulary, TF-IDF weights and vectors are built once and shared by
+    all candidates.  Fold f trains with substream seed stream_seed(seed, f),
+    so folds can be evaluated in any order with identical results.
     """
     from .models import train_model
 
@@ -168,8 +178,7 @@ def crossvalidate_criterion(
             f"got {len(token_docs)} documents but {len(labels)} labels"
         )
     folds = stratified_kfold(labels, k=k, seed=seed)
-    f1s: list[float] = []
-    accs: list[float] = []
+    scores: list[tuple[list[float], list[float]]] = [([], []) for _ in candidates]
     for f, held_out in enumerate(folds):
         held = set(held_out)
         train_idx = [i for i in range(len(labels)) if i not in held]
@@ -183,17 +192,31 @@ def crossvalidate_criterion(
         tfidf = fit_tfidf(train_tokens, vocab)
         X_train = [transform(t, tfidf) for t in train_tokens]
         y_train = [labels[i] for i in train_idx]
-        model = train_model(
-            family, X_train, y_train, params, seed=stream_seed(seed, f),
-            threads=threads,
-        )
         X_test = [transform(token_docs[i], tfidf) for i in held_out]
         y_test = [labels[i] for i in held_out]
-        y_pred = [model.predict(x) for x in X_test]
-        f1, acc = f1_and_accuracy(y_test, y_pred)
-        f1s.append(f1)
-        accs.append(acc)
-    return f1s, accs
+        for (family, params), (f1s, accs) in zip(candidates, scores):
+            model = train_model(
+                family, X_train, y_train, params, seed=stream_seed(seed, f)
+            )
+            f1, acc = f1_and_accuracy(y_test, [model.predict(x) for x in X_test])
+            f1s.append(f1)
+            accs.append(acc)
+    return scores
+
+
+def crossvalidate_criterion(
+    token_docs: Sequence[Sequence[str]],
+    labels: Sequence[int],
+    family: str,
+    params: dict | None = None,
+    k: int = DEFAULT_FOLDS,
+    seed: int = 0,
+) -> tuple[list[float], list[float]]:
+    """Per-fold (F1, accuracy) lists for one criterion's labels and one
+    model family."""
+    return crossvalidate_candidates(
+        token_docs, labels, [(family, params)], k=k, seed=seed
+    )[0]
 
 
 def cross_validate(
@@ -203,29 +226,21 @@ def cross_validate(
     params_by_family: dict[str, dict] | None = None,
     k: int = DEFAULT_FOLDS,
     seed: int = 0,
-    threads: int = 1,
 ) -> CvReport:
     """Fold-averaged F1/accuracy for every criterion and model family.
 
-    Standard deviations are population (divide-by-N) over the k folds.
+    All families of a criterion share its folds and fold features.
     """
+    candidates = [
+        (family, (params_by_family or {}).get(family)) for family in families
+    ]
     rows: list[CvRow] = []
     for criterion in sorted(labels_by_criterion):
-        labels = labels_by_criterion[criterion]
-        for family in families:
-            params = (params_by_family or {}).get(family)
-            f1s, accs = crossvalidate_criterion(
-                token_docs, labels, family, params, k=k, seed=seed,
-                threads=threads,
-            )
+        scores = crossvalidate_candidates(
+            token_docs, labels_by_criterion[criterion], candidates, k=k, seed=seed
+        )
+        for (family, _params), (f1s, accs) in zip(candidates, scores):
             rows.append(
-                CvRow(
-                    criterion=criterion,
-                    family=family,
-                    f1_mean=float(np.mean(f1s)),
-                    f1_std=float(np.std(f1s)),
-                    acc_mean=float(np.mean(accs)),
-                    acc_std=float(np.std(accs)),
-                )
+                CvRow(criterion=criterion, family=family, **fold_summary(f1s, accs))
             )
     return CvReport(rows=rows, folds=k)

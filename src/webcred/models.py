@@ -33,7 +33,6 @@ def train_model(
     y: Sequence[int],
     params: dict | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> SvmModel | ForestModel:
     merged = dict(DEFAULT_PARAMS.get(family, {}))
     merged.update(params or {})
@@ -44,18 +43,8 @@ def train_model(
             merged.pop("gamma")
         return train_linear_svm(X, y, C=merged["C"], seed=seed)
     if family == "rf":
-        return train_random_forest(
-            X, y, n_estimators=merged["n_estimators"], seed=seed, threads=threads
-        )
+        return train_random_forest(X, y, n_estimators=merged["n_estimators"], seed=seed)
     raise DataError(f"unknown model family {family!r} (expected one of {FAMILIES})")
-
-
-def predict(model: SvmModel | ForestModel, x: SparseVector) -> int:
-    return model.predict(x)
-
-
-def model_to_dict(model: SvmModel | ForestModel) -> dict:
-    return model.to_dict()
 
 
 def model_from_dict(data: dict) -> SvmModel | ForestModel:
@@ -90,42 +79,31 @@ def grid_search(
     grid: dict[str, list] | None = None,
     k: int = 10,
     seed: int = 0,
-    threads: int = 1,
 ) -> GridResult:
-    """Cross-validate every grid point and keep the best one.
+    """Cross-validate every grid point on shared folds and keep the best one.
 
     Points are enumerated as the Cartesian product of the grid values in
     declaration order.  Best = highest mean F1, ties broken by higher mean
     accuracy, then by enumeration order.
     """
-    from .eval import crossvalidate_criterion
-    import numpy as np
+    from .eval import crossvalidate_candidates, fold_summary
 
     if grid is None:
         grid = DEFAULT_GRIDS[family]
     if not grid or any(not values for values in grid.values()):
         raise DataError("hyperparameter grid must be non-empty")
     names = list(grid)
-    table: list[GridPoint] = []
-    best: GridPoint | None = None
-    for combo in itertools.product(*(grid[name] for name in names)):
-        params = dict(zip(names, combo))
-        f1s, accs = crossvalidate_criterion(
-            token_docs, labels, family, params, k=k, seed=seed, threads=threads
-        )
-        point = GridPoint(
-            params=params,
-            f1_mean=float(np.mean(f1s)),
-            f1_std=float(np.std(f1s)),
-            acc_mean=float(np.mean(accs)),
-            acc_std=float(np.std(accs)),
-        )
-        table.append(point)
-        if (
-            best is None
-            or point.f1_mean > best.f1_mean
-            or (point.f1_mean == best.f1_mean and point.acc_mean > best.acc_mean)
-        ):
-            best = point
-    assert best is not None
+    points = [
+        dict(zip(names, combo))
+        for combo in itertools.product(*(grid[name] for name in names))
+    ]
+    scores = crossvalidate_candidates(
+        token_docs, labels, [(family, params) for params in points], k=k, seed=seed
+    )
+    table = [
+        GridPoint(params=params, **fold_summary(f1s, accs))
+        for params, (f1s, accs) in zip(points, scores)
+    ]
+    # max keeps the first of equal keys, which is the enumeration-order tie rule.
+    best = max(table, key=lambda point: (point.f1_mean, point.acc_mean))
     return GridResult(family=family, best_params=dict(best.params), table=table)

@@ -304,6 +304,29 @@ class TestDeterminism:
             assert first == second, name
 
 
+class TestGrid:
+    def test_grid_writes_one_row_per_point_and_selects_one(
+        self, pipeline, tmp_path
+    ):
+        fx = pipeline["fx"]
+        out = tmp_path / "grid.csv"
+        rc = main(["grid", "--docs", f"{fx}/webpages.jsonl",
+                   "--labels", f"{fx}/labels.csv", "--criterion", "2",
+                   "--family", "svm", "--grid", '{"C": [0.1, 1.0, 10.0]}',
+                   "--folds", "5", "--out", str(out),
+                   "--manifest", str(tmp_path / "grid_manifest.json")])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "criterion,family,params,f1_mean,f1_std,acc_mean,acc_std,selected"
+        )
+        rows = lines[1:]
+        assert len(rows) == 3
+        assert all(row.startswith("2,svm,") for row in rows)
+        selected = [row.rsplit(",", 1)[1] for row in rows]
+        assert sorted(selected) == ["0", "0", "1"]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import webcred.eval
 from helpers import make_marker_corpus
 from webcred.errors import DataError, StratificationError
 from webcred.eval import (
@@ -156,3 +158,37 @@ class TestCrossValidation:
         a = crossvalidate_criterion(docs, labels, "rf", k=4, seed=9)
         b = crossvalidate_criterion(docs, labels, "rf", k=4, seed=9)
         assert a == b
+
+
+class TestSharedFolds:
+    def test_families_share_each_folds_vocabulary(self, monkeypatch):
+        docs, labels = make_marker_corpus(40, seed=36)
+        calls = []
+        original = webcred.eval.build_vocabulary
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(webcred.eval, "build_vocabulary", counting)
+        labels_by_criterion = {1: labels, 2: labels[1:] + labels[:1]}
+        cross_validate(
+            docs, labels_by_criterion, families=("svm", "rf"), k=4, seed=0
+        )
+        assert len(calls) == 4 * len(labels_by_criterion)
+
+    def test_rows_equal_each_family_cross_validated_alone(self):
+        docs, labels = make_marker_corpus(40, seed=37, fidelity=0.7)
+        params = {"svm": {"C": 1.0}, "rf": {"n_estimators": 5}}
+        report = cross_validate(
+            docs, {3: labels}, families=("svm", "rf"), params_by_family=params,
+            k=4, seed=11,
+        )
+        for row in report.rows:
+            f1s, accs = crossvalidate_criterion(
+                docs, labels, row.family, params[row.family], k=4, seed=11
+            )
+            assert row.f1_mean.hex() == float(np.mean(f1s)).hex()
+            assert row.f1_std.hex() == float(np.std(f1s)).hex()
+            assert row.acc_mean.hex() == float(np.mean(accs)).hex()
+            assert row.acc_std.hex() == float(np.std(accs)).hex()
