@@ -216,23 +216,43 @@ def _cmd_grid(args, manifest: RunManifest) -> None:
         seed=args.seed,
     )
     with open(args.out, "w", newline="") as fh:
-        fh.write(
-            "criterion,family,params,f1_mean,f1_std,acc_mean,acc_std,selected\n"
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["criterion", "family", "params", "f1_mean", "f1_std",
+             "acc_mean", "acc_std", "selected"]
         )
-        for point in result.table:
-            params_json = json.dumps(point.params, sort_keys=True)
-            selected = 1 if point.params == result.best_params else 0
-            fh.write(
-                f'{args.criterion},{args.family},"{params_json}",'
-                f"{point.f1_mean!r},{point.f1_std!r},"
-                f"{point.acc_mean!r},{point.acc_std!r},{selected}\n"
+        for i, point in enumerate(result.table):
+            writer.writerow(
+                [
+                    args.criterion,
+                    args.family,
+                    json.dumps(point.params, sort_keys=True),
+                    repr(point.f1_mean),
+                    repr(point.f1_std),
+                    repr(point.acc_mean),
+                    repr(point.acc_std),
+                    int(i == result.best_index),
+                ]
             )
     manifest.record_output(args.out)
 
 
 def _load_model(path: str | Path):
     with open(path) as fh:
-        return credibility.ensemble_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(
+                f"{path}:{exc.lineno}: not a model file: {exc.msg}"
+            ) from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: not a model file: expected a JSON object")
+    try:
+        return credibility.ensemble_from_dict(data)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: not a model file: {exc!r}") from None
 
 
 def _cmd_score(args, manifest: RunManifest) -> None:

@@ -204,13 +204,32 @@ def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
     """Read webpages.jsonl ({"url","text"}), normalizing URLs on the way in.
 
     ``word_count`` and ``language`` are always recomputed from the text.
+    A malformed line raises DataError naming the stream (its ``name``, as
+    for an open file) and the line number.
     """
-    for line in stream:
+    source = getattr(stream, "name", "<webpages>")
+    for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        yield WebDocument(url=normalize_url(str(obj["url"])), text=str(obj["text"]))
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{source}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError(
+                f"{source}:{lineno}: expected a JSON object, got {type(obj).__name__}"
+            )
+        for key in ("url", "text"):
+            if key not in obj:
+                raise DataError(f"{source}:{lineno}: missing key {key!r}")
+            if not isinstance(obj[key], str):
+                raise DataError(f"{source}:{lineno}: {key!r} is not a string")
+        try:
+            url = normalize_url(obj["url"])
+        except DataError as exc:
+            raise DataError(f"{source}:{lineno}: {exc}") from None
+        yield WebDocument(url=url, text=obj["text"])
 
 
 def filter_corpus(

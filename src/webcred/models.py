@@ -68,8 +68,12 @@ class GridPoint:
 @dataclass
 class GridResult:
     family: str
-    best_params: dict
     table: list[GridPoint]
+    best_index: int
+
+    @property
+    def best_params(self) -> dict:
+        return self.table[self.best_index].params
 
 
 def grid_search(
@@ -105,5 +109,7 @@ def grid_search(
         for params, (f1s, accs) in zip(points, scores)
     ]
     # max keeps the first of equal keys, which is the enumeration-order tie rule.
-    best = max(table, key=lambda point: (point.f1_mean, point.acc_mean))
-    return GridResult(family=family, best_params=dict(best.params), table=table)
+    best = max(
+        range(len(table)), key=lambda i: (table[i].f1_mean, table[i].acc_mean)
+    )
+    return GridResult(family=family, table=table, best_index=best)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shutil
@@ -326,6 +327,37 @@ class TestGrid:
         selected = [row.rsplit(",", 1)[1] for row in rows]
         assert sorted(selected) == ["0", "0", "1"]
 
+    def run_grid(self, pipeline, tmp_path, grid):
+        fx = pipeline["fx"]
+        out = tmp_path / "grid.csv"
+        rc = main(["grid", "--docs", f"{fx}/webpages.jsonl",
+                   "--labels", f"{fx}/labels.csv", "--criterion", "2",
+                   "--family", "svm", "--grid", grid,
+                   "--folds", "5", "--out", str(out),
+                   "--manifest", str(tmp_path / "grid_manifest.json")])
+        assert rc == 0
+        with open(out, newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    def test_report_is_valid_csv_for_a_two_parameter_grid(self, pipeline, tmp_path):
+        rows = self.run_grid(pipeline, tmp_path, '{"C": [1.0], "gamma": [0.5]}')
+        assert len(rows) == 1
+        assert len(rows[0]) == 8
+        assert json.loads(rows[0][2]) == {"C": 1.0, "gamma": 0.5}
+        assert rows[0][7] == "1"
+
+    def test_repeated_grid_values_select_one_row(self, pipeline, tmp_path):
+        rows = self.run_grid(pipeline, tmp_path, '{"C": [10.0, 10.0]}')
+        assert [row[2] for row in rows] == ['{"C": 10.0}'] * 2
+        assert [row[7] for row in rows] == ["1", "0"]
+
+
+def assert_one_error_line(err, message):
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_2(self):
@@ -364,6 +396,50 @@ class TestExitCodes:
                    "--manifest", str(tmp_path / "m.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("{not json", "webpages.jsonl:2: invalid JSON"),
+            ("[1, 2]", "webpages.jsonl:2: expected a JSON object, got list"),
+            ('{"text": "words"}', "webpages.jsonl:2: missing key 'url'"),
+            ('{"url": "http://b.example.org/"}',
+             "webpages.jsonl:2: missing key 'text'"),
+            ('{"url": null, "text": "words"}',
+             "webpages.jsonl:2: 'url' is not a string"),
+            ('{"url": "", "text": "words"}', "webpages.jsonl:2: empty URL"),
+        ],
+    )
+    def test_malformed_webpage_line_exits_1(self, tmp_path, capsys, bad_line, message):
+        good = json.dumps({"url": "http://a.example.org/", "text": CARRIER})
+        (tmp_path / "webpages.jsonl").write_text(f"{good}\n{bad_line}\n")
+        rc = main(["ingest", "--webpages", str(tmp_path / "webpages.jsonl"),
+                   "--report", str(tmp_path / "report.json"),
+                   "--manifest", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, message)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"url": "http://a.example.org/"}\n{"url": "x"}\n',
+             "model.json:2: not a model file"),
+            ("url,c1\n", "model.json:1: not a model file"),
+            ("[1, 2]\n", "model.json: not a model file"),
+            ('{"schema_version": 1}\n', "model.json: not a model file"),
+            ('{"schema_version": 1, "tfidf": []}\n', "model.json: not a model file"),
+            ("{}\n", "model.json: unsupported model schema_version"),
+        ],
+    )
+    def test_non_model_file_exits_1(self, tmp_path, capsys, content, message):
+        write_corpus(tmp_path, n_docs=4, seed=3)
+        (tmp_path / "model.json").write_text(content)
+        rc = main(["score", "--model", str(tmp_path / "model.json"),
+                   "--docs", str(tmp_path / "webpages.jsonl"),
+                   "--out", str(tmp_path / "scores.csv"),
+                   "--manifest", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, message)
 
     def test_labelled_url_missing_from_docs_exits_1(self, tmp_path, capsys):
         write_corpus(tmp_path, n_docs=4, seed=3)

@@ -50,6 +50,7 @@ class TestGridSearch:
         result = grid_search([], [], "rf", {"n_estimators": [1, 2, 3, 4]})
         assert seen == [("rf", {"n_estimators": n}) for n in (1, 2, 3, 4)]
         assert result.best_params == {"n_estimators": 3}
+        assert result.best_index == 2
 
     def test_grid_points_are_the_product_in_declaration_order(self, monkeypatch):
         def fake(token_docs, labels, candidates, k, seed):

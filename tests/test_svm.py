@@ -1,13 +1,19 @@
 import json
+import logging
 import random
 
 import numpy as np
 import pytest
 
+import webcred.models
+import webcred.svm
 from webcred import _kernels
+from webcred.credibility import N_CRITERIA, read_labels_csv
 from webcred.errors import DataError
-from webcred.svm import SvmModel, train_linear_svm
-from webcred.textprep import SparseVector, to_csr
+from webcred.eval import cross_validate
+from webcred.ingest import load_webpages
+from webcred.svm import BIAS_SCALE, SvmModel, train_linear_svm
+from webcred.textprep import SparseVector, clean_text, to_csr, tokenize
 
 
 def sv(pairs: dict[int, float], dim: int) -> SparseVector:
@@ -155,6 +161,59 @@ class TestSolverProperties:
                                      record_objective=True)
             assert model.primal_history[-1] <= model.primal_history[0] + 1e-9
 
+    def test_histories_use_the_documented_objective(self):
+        rng = random.Random(700)
+        X, y = random_separable_problem(rng, 20, 5)
+        C = 10.0
+        model = train_linear_svm(X, y, C=C, seed=1, record_objective=True)
+        hinge = sum(
+            max(0.0, 1.0 - (1.0 if label else -1.0) * model.decision_function(x))
+            for x, label in zip(X, y)
+        )
+        primal = (
+            0.5 * (model.weights @ model.weights + (BIAS_SCALE * model.bias) ** 2)
+            + C * hinge
+        )
+        assert model.primal_history[-1] == pytest.approx(primal, rel=1e-12)
+        gap = model.primal_history[-1] - model.dual_history[-1]
+        assert model.relative_gap == pytest.approx(
+            gap / max(1.0, model.primal_history[-1]), rel=1e-6, abs=1e-12
+        )
+
+    def test_epoch_cap_is_reported_and_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(webcred.svm, "MAX_EPOCHS", 1)
+        rng = random.Random(8)
+        X, y = random_separable_problem(rng, 30, 5)
+        with caplog.at_level(logging.WARNING, logger="webcred.svm"):
+            model = train_linear_svm(X, y, C=100.0, seed=0)
+        assert model.epochs_run == 1
+        assert not model.converged
+        assert model.relative_gap > 0.0
+        [record] = caplog.records
+        assert "C=100" in record.getMessage()
+        assert "1 epochs" in record.getMessage()
+
+    def test_every_fixture_fold_fit_converges(self, fixtures_dir, monkeypatch):
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            fits.append(train_linear_svm(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(webcred.models, "train_linear_svm", recording_fit)
+        labels = read_labels_csv(fixtures_dir / "labels.csv")
+        with open(fixtures_dir / "webpages.jsonl") as fh:
+            docs = {doc.url: doc for doc in load_webpages(fh)}
+        urls = sorted(labels)
+        token_docs = [tokenize(clean_text(docs[u].text)) for u in urls]
+        by_criterion = {
+            k: [labels[u][k - 1] for u in urls] for k in range(1, N_CRITERIA + 1)
+        }
+        cross_validate(token_docs, by_criterion, families=["svm"], k=10, seed=42)
+        assert len(fits) == N_CRITERIA * 10
+        assert all(fit.converged for fit in fits)
+        assert max(fit.relative_gap for fit in fits) < 1e-3
+
     def test_epoch_cap_reported_as_not_converged(self):
         rng = random.Random(8)
         X, y = random_separable_problem(rng, 30, 5)
@@ -186,3 +245,17 @@ class TestSerialization:
         assert data["family"] == "svm"
         assert data["params"] == {"C": 100.0}
         assert len(data["weights"]) == 2
+        assert data["fit"] == {
+            "epochs_run": model.epochs_run,
+            "converged": True,
+            "relative_gap": model.relative_gap,
+        }
+
+    def test_fit_report_round_trips_and_is_optional(self):
+        X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
+        data = json.loads(json.dumps(train_linear_svm(X, [1, 0], seed=0).to_dict()))
+        assert SvmModel.from_dict(data).to_dict() == data
+        del data["fit"]
+        legacy = SvmModel.from_dict(data)
+        assert legacy.relative_gap is None
+        assert legacy.to_dict() == data
