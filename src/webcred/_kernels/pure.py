@@ -13,35 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng import _GOLDEN, _MASK64
-
-
-class EpochShuffle:
-    """``SplitMix64(seed).shuffle`` for lists of length ``n``, vectorized.
-
-    Each call permutes the list exactly as ``SplitMix64.shuffle`` would and
-    advances the state the same way, but draws the n-1 numbers of the
-    Fisher-Yates pass at once with wrapping uint64 arithmetic; only the
-    swaps stay in Python.  ``state`` is the generator's state.
-    """
-
-    def __init__(self, seed: int, n: int):
-        self.state = seed & _MASK64
-        # Draw k (k = 1..n-1) mixes state + k*GOLDEN and picks j below i+1
-        # for i = n-k.
-        self._offsets = np.arange(1, n, dtype=np.uint64) * np.uint64(_GOLDEN)
-        self._bounds = np.arange(n, 1, -1, dtype=np.uint64)
-        self._step = (len(self._offsets) * _GOLDEN) & _MASK64
-
-    def __call__(self, items: list) -> None:
-        x = self._offsets + np.uint64(self.state)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        picks = (x % self._bounds).tolist()
-        for i, j in zip(range(len(items) - 1, 0, -1), picks):
-            items[i], items[j] = items[j], items[i]
-        self.state = (self.state + self._step) & _MASK64
+from ..rng import SplitMix64
 
 
 def svm_fit(
@@ -78,13 +50,13 @@ def svm_fit(
         rows.append((indices[lo:hi], vals, float(y[i]), float(vals @ vals + 1.0)))
     alpha = [0.0] * n
     order = list(range(n))
-    shuffle = EpochShuffle(seed, n)
+    rng = SplitMix64(seed)
     primal_hist: list[float] = []
     dual_hist: list[float] = []
     epochs_run = 0
     converged = False
     for _ in range(max_epochs):
-        shuffle(order)
+        rng.shuffle(order)
         max_violation = 0.0
         for i in order:
             cols, vals, yi, qi = rows[i]

@@ -251,7 +251,7 @@ def _load_model(path: str | Path):
         return credibility.ensemble_from_dict(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a model file: {exc!r}") from None
 
 

@@ -232,6 +232,8 @@ def ensemble_to_dict(ensemble: EnsembleModel, tfidf: TfIdfModel) -> dict:
 def ensemble_from_dict(data: dict) -> tuple[EnsembleModel, TfIdfModel]:
     if data.get("schema_version") != 1:
         raise DataError(f"unsupported model schema_version {data.get('schema_version')!r}")
+    if not isinstance(data.get("tfidf"), dict) or not isinstance(data.get("criteria"), list):
+        raise DataError("not a model file: expected a 'tfidf' object and a 'criteria' list")
     tfidf = TfIdfModel.from_dict(data["tfidf"])
     entries: dict[int, EnsembleEntry] = {}
     for item in data["criteria"]:

@@ -11,6 +11,8 @@ thread counts, and kernel implementations.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -53,10 +55,24 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap
+        items[i] with items[randbelow(i + 1)].
+
+        The n-1 draws are computed at once with wrapping uint64 arithmetic
+        (draw k mixes state + k*GOLDEN); only the swaps stay in Python.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        x = np.arange(1, n, dtype=np.uint64) * np.uint64(_GOLDEN)
+        x += np.uint64(self._state)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        picks = (x % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
+        self._state = (self._state + (n - 1) * _GOLDEN) & _MASK64
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct integers from [0, n), in draw order."""

@@ -142,9 +142,7 @@ def train_linear_svm(
     )
     weights = w * s
     bias = float(bias)
-    gap = _relative_gap(
-        indptr, indices, data, signs, weights, bias, C, s * s * float(np.sum(alpha))
-    )
+    gap = _relative_gap(indptr, indices, data, signs, weights, bias, C, s, alpha)
     if not converged:
         logger.warning(
             "svm fit with C=%g stopped at %d epochs; relative duality gap %.3g",
@@ -162,17 +160,16 @@ def train_linear_svm(
     )
 
 
-def _relative_gap(indptr, indices, data, signs, weights, bias, C, alpha_sum) -> float:
-    """(P - D) / max(1, |P|) for the documented objective P and its dual
-    D = alpha_sum - 1/2 (||w||^2 + s^2 b^2), in O(nnz).
-
-    ``alpha_sum`` is the sum of the dual variables in the documented
-    problem's units, s^2 times the kernel's.
+def _relative_gap(indptr, indices, data, signs, weights, bias, C, s, alpha) -> float:
+    """(P - D) / max(1, |P|) for the documented objective P with bias scale
+    ``s`` and its dual D = s^2 sum(alpha) - 1/2 (||w||^2 + s^2 b^2), in
+    O(nnz).  ``alpha`` are the kernel's dual variables, 1/s^2 times the
+    documented problem's.
     """
     rows = np.repeat(np.arange(len(signs)), np.diff(indptr))
     scores = np.bincount(rows, weights=data * weights[indices], minlength=len(signs))
     hinge = np.maximum(0.0, 1.0 - signs * (scores + bias))
-    reg = 0.5 * (float(weights @ weights) + (BIAS_SCALE * bias) ** 2)
+    reg = 0.5 * (float(weights @ weights) + (s * bias) ** 2)
     primal = reg + C * float(np.sum(hinge))
-    dual = alpha_sum - reg
+    dual = s * s * float(np.sum(alpha)) - reg
     return (primal - dual) / max(1.0, abs(primal))

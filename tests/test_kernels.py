@@ -8,7 +8,6 @@ import pytest
 
 from webcred import _kernels
 from webcred._kernels import pure
-from webcred.rng import SplitMix64
 
 try:
     from webcred._kernels import _fast
@@ -60,20 +59,6 @@ def random_csr(rng: random.Random, n_docs: int, dim: int):
         np.asarray(data, dtype=np.float64),
         np.asarray(y, dtype=np.float64),
     )
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 108, 450])
-def test_epoch_shuffle_matches_splitmix64_shuffle(n):
-    for seed in (0, 11, 2**64 - 1):
-        reference = SplitMix64(seed)
-        shuffle = pure.EpochShuffle(seed, n)
-        want, got = list(range(n)), list(range(n))
-        for _ in range(300):
-            reference.shuffle(want)
-            shuffle(got)
-            assert got == want
-        # Equal states give equal next draws.
-        assert SplitMix64(shuffle.state).next_u64() == reference.next_u64()
 
 
 def test_active_impl_is_reported():

@@ -49,6 +49,22 @@ def test_shuffle_is_a_permutation():
     assert shuffled != items
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 108, 450])
+def test_shuffle_matches_sequential_fisher_yates(n):
+    for seed in (0, 11, 2**64 - 1):
+        rng = SplitMix64(seed)
+        reference = SplitMix64(seed)
+        got, want = list(range(n)), list(range(n))
+        for _ in range(100):
+            rng.shuffle(got)
+            for i in range(n - 1, 0, -1):
+                j = reference.randbelow(i + 1)
+                want[i], want[j] = want[j], want[i]
+            assert got == want
+        # Equal states give equal next draws.
+        assert rng.next_u64() == reference.next_u64()
+
+
 def test_sample_without_replacement_distinct_and_in_range():
     rng = SplitMix64(13)
     for _ in range(50):
