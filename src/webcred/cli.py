@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, _kernels, credibility, eval as evalmod, exposure, graph
 from . import ingest, models, stats
-from .errors import CorruptInputError, DataError, StratificationError
+from .errors import CorruptInputError, DataError, StratificationError, open_input
 from .rng import stream_seed
 from .textprep import build_vocabulary, clean_text, fit_tfidf, tokenize, transform
 
@@ -68,7 +68,7 @@ def _write_json(payload: dict, path: str | Path) -> None:
 
 def _load_docs(path: str | Path) -> dict[str, ingest.WebDocument]:
     docs: dict[str, ingest.WebDocument] = {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for doc in ingest.load_webpages(fh):
             docs[doc.url] = doc
     return docs
@@ -76,7 +76,7 @@ def _load_docs(path: str | Path) -> dict[str, ingest.WebDocument]:
 
 def _load_tweets(path: str | Path) -> tuple[list[ingest.TweetRecord], int]:
     """Tweets with their urls normalized to match scored-document keys."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         records, skipped = ingest.parse_tweets(fh)
     normalized = [
         dataclasses.replace(
@@ -139,7 +139,7 @@ def _cmd_ingest(args, manifest: RunManifest) -> None:
         payload["tweets_parsed"] = len(records)
         payload["tweets_skipped"] = skipped
     if args.reference_urls:
-        with open(args.reference_urls) as fh:
+        with open_input(args.reference_urls) as fh:
             reference = {
                 ingest.normalize_url(line.strip()) for line in fh if line.strip()
             }
@@ -238,7 +238,7 @@ def _cmd_grid(args, manifest: RunManifest) -> None:
 
 
 def _load_model(path: str | Path):
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -287,7 +287,7 @@ def _cmd_evaluate(args, manifest: RunManifest) -> None:
 def _cmd_kappa(args, manifest: RunManifest) -> None:
     manifest.record_input(args.ratings)
     rows: list[tuple[str, str, str]] = []
-    with open(args.ratings, newline="") as fh:
+    with open_input(args.ratings, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != [

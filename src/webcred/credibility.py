@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError
+from .errors import DataError, open_input
 from .eval import CvReport
 from .forest import ForestModel
 from .ingest import WebDocument
@@ -254,7 +254,7 @@ def read_labels_csv(path: str | Path) -> dict[str, tuple[int, ...]]:
     """labels.csv: url,c1,...,c7 with a header row; values 0/1."""
     expected = ["url"] + [f"c{k}" for k in range(1, N_CRITERIA + 1)]
     labels: dict[str, tuple[int, ...]] = {}
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != expected:
@@ -292,7 +292,7 @@ def write_scores_csv(
 
 def read_scores_csv(path: str | Path) -> dict[str, CredibilityResult]:
     results: dict[str, CredibilityResult] = {}
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         expected = (

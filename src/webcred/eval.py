@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, StratificationError
+from .errors import DataError, StratificationError, open_input
 from .rng import SplitMix64, stream_seed
 from .textprep import build_vocabulary, fit_tfidf, transform
 
@@ -124,7 +124,7 @@ def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport
     """
     expected = ["criterion", "family", "f1_mean", "f1_std", "acc_mean", "acc_std"]
     rows: list[CvRow] = []
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import DataError
+from .errors import DataError, open_input
 from .exposure import UserProfile
 
 DEFAULT_MIN_LINKS = 2
@@ -51,7 +51,7 @@ def read_followers_csv(path: str | Path) -> list[tuple[str, str]]:
     """Edge list follower_id,followee_id; a header row is detected and
     skipped when its cells are exactly those column names."""
     edges: list[tuple[str, str]] = []
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row:

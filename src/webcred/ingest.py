@@ -9,7 +9,9 @@ near-duplicate removal keeping the longest copy.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
@@ -49,7 +51,12 @@ class TweetRecord:
 
 @dataclass
 class WebDocument:
-    """A webpage's extracted text, keyed by its normalized URL."""
+    """A webpage's extracted text, keyed by its normalized URL.
+
+    ``language`` is detected from the text on first read and cached, so
+    stages that never look at it (``cv``, ``train``, ``terms``, …) run no
+    detection; passing ``language=`` sets it outright.
+    """
 
     url: str
     text: str
@@ -59,8 +66,19 @@ class WebDocument:
     def __post_init__(self):
         if self.word_count < 0:
             self.word_count = contiguous_word_count(self.text)
-        if not self.language:
-            self.language = detect_language(self.text)[0]
+
+    def _get_language(self) -> str:
+        if not self._language:
+            self._language = detect_language(self.text)[0]
+        return self._language
+
+    def _set_language(self, value: str) -> None:
+        self._language = value
+
+
+# Installed after @dataclass has read the field's "" default, so the
+# generated __init__, repr and eq all go through the lazy property.
+WebDocument.language = property(WebDocument._get_language, WebDocument._set_language)
 
 
 @dataclass
@@ -203,7 +221,8 @@ def _parse_timestamp(value: str) -> datetime:
 def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
     """Read webpages.jsonl ({"url","text"}), normalizing URLs on the way in.
 
-    ``word_count`` and ``language`` are always recomputed from the text.
+    ``word_count`` and ``language`` are always recomputed from the text
+    (``language`` when first read).
     A malformed line raises DataError naming the stream (its ``name``, as
     for an open file) and the line number.
     """
@@ -254,7 +273,9 @@ def filter_corpus(
 
 
 def _shingles(text: str, size: int = SHINGLE_SIZE) -> frozenset[tuple[str, ...]]:
-    words = text.lower().split()
+    # Interned, so the shingle tuples of every kept document share one
+    # string object per distinct word.
+    words = list(map(sys.intern, text.lower().split()))
     if len(words) < size:
         return frozenset([tuple(words)]) if words else frozenset()
     return frozenset(tuple(words[i : i + size]) for i in range(len(words) - size + 1))
@@ -273,28 +294,74 @@ def dedupe_near_duplicates(
     """Drop near-duplicate documents, keeping the longest copy.
 
     Two documents are near-duplicates when the Jaccard similarity of their
-    5-word shingle sets reaches the threshold.  Documents are considered in
-    (word_count desc, url asc) priority order and a document is kept only
-    if it does not duplicate an already-kept one, so the retained set does
-    not depend on input order.  Output is sorted by url.
+    5-word shingle sets reaches the threshold t.  Documents are considered
+    in (word_count desc, url asc) priority order and a document is kept
+    only if it does not duplicate an already-kept one, so the retained set
+    does not depend on input order.  Output is sorted by url.
+
+    The comparison is an exact prefix-filtered set-similarity join
+    (Bayardo et al., "Scaling Up All Pairs Similarity Search", WWW 2007;
+    Xiao et al., "Efficient Similarity Joins for Near Duplicate
+    Detection" (PPJoin), WWW 2008), not a scan of every kept document:
+
+    * Order.  Each shingle set x is sorted by the shingle's ``hash``.  Its
+      prefix is its first p(x) = |x| - floor(fl(t*|x|)) + 1 shingles,
+      extended through hash ties, so it contains the prefix of that length
+      under the total order (hash, shingle) that every document shares.
+    * Bound.  If the float test ``jaccard(x, y) >= t`` passes, the
+      overlap is at least t*max(|x|, |y|) up to two roundings, so it is an
+      integer o >= floor(fl(t*|x|)) for |x| < 2**51; the same holds for y.
+      When x and y share at least o elements, the shared element with
+      o - 1 shared elements after it in the order lies within the first
+      |x| - o + 1 of x and the first |y| - o + 1 of y, so the two prefixes
+      meet.  Using floor rather than the textbook ceil(t*|x|) costs at
+      most one token and stays safe when t*|x| rounds up past an integer
+      (0.56 * 25 == 14.000000000000002).
+    * Probe and index.  Only kept documents' prefixes are indexed.  A
+      kept document that shares no prefix shingle with the current one
+      cannot reach t and is never compared; each one that does is checked
+      with the size-ratio bound and ``jaccard`` exactly as a pairwise scan
+      would, so every decision is the same float comparison.
+
+    An empty shingle set duplicates only another empty one
+    (``jaccard(∅, ∅) == 1``).
     """
     if not 0.0 < jaccard_threshold <= 1.0:
         raise DataError("jaccard_threshold must be in (0, 1]")
     ordered = sorted(docs, key=lambda d: (-d.word_count, d.url))
     kept: list[WebDocument] = []
     kept_shingles: list[frozenset] = []
+    kept_empty = False
+    # Prefix shingle -> indexes into kept_shingles of the documents whose
+    # prefix holds it.
+    index: dict[tuple[str, ...], list[int]] = {}
     for doc in ordered:
         sh = _shingles(doc.text)
+        if not sh:
+            if not kept_empty:
+                kept_empty = True
+                kept.append(doc)
+            continue
+        ranked = sorted(sh, key=hash)
+        n = len(ranked)
+        end = min(n, n - math.floor(jaccard_threshold * n) + 1)
+        while end < n and hash(ranked[end]) == hash(ranked[end - 1]):
+            end += 1
+        prefix = ranked[:end]
+        candidates = {j for s in prefix for j in index.get(s, ())}
         duplicate = False
-        for other in kept_shingles:
+        for j in candidates:
+            other = kept_shingles[j]
             # Jaccard is bounded by the size ratio; skip hopeless pairs.
-            smaller, larger = sorted((len(sh), len(other)))
-            if larger and smaller / larger < jaccard_threshold:
+            smaller, larger = sorted((n, len(other)))
+            if smaller / larger < jaccard_threshold:
                 continue
             if jaccard(sh, other) >= jaccard_threshold:
                 duplicate = True
                 break
         if not duplicate:
+            for s in prefix:
+                index.setdefault(s, []).append(len(kept_shingles))
             kept.append(doc)
             kept_shingles.append(sh)
     return sorted(kept, key=lambda d: d.url)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from functools import lru_cache
 
 from ._langdata import PROFILE_TEXTS
@@ -22,31 +23,33 @@ _NON_LETTER = re.compile(r"[^a-zà-öø-ÿœßñçа-яά-ώ]+")
 
 def _trigram_counts(text: str) -> dict[str, int]:
     """Trigram histogram of lowercased text with non-letters as gaps."""
-    normalized = _NON_LETTER.sub(" ", text.lower())
-    normalized = " " + re.sub(r"\s+", " ", normalized).strip() + " "
-    counts: dict[str, int] = {}
-    for i in range(len(normalized) - 2):
-        gram = normalized[i : i + 3]
-        if gram == "   " or gram.isspace():
-            continue
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+    # Each run of non-letters becomes one space, so no trigram is all
+    # whitespace.
+    normalized = " " + _NON_LETTER.sub(" ", text.lower()).strip() + " "
+    return Counter([normalized[i : i + 3] for i in range(len(normalized) - 2)])
 
 
-def _cosine(a: dict[str, int], b: dict[str, int]) -> float:
+def _norm(counts: dict[str, int]) -> float:
+    return math.sqrt(sum(v * v for v in counts.values()))
+
+
+def _cosine(a: dict[str, int], norm_a: float, b: dict[str, int], norm_b: float) -> float:
+    """Cosine of two histograms given their norms."""
     if not a or not b:
         return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(v * b[g] for g, v in a.items() if g in b)
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
+    small, large = (b, a) if len(b) < len(a) else (a, b)
+    dot = sum(v * large[g] for g, v in small.items() if g in large)
     return dot / (norm_a * norm_b)
 
 
 @lru_cache(maxsize=1)
-def _profiles() -> dict[str, dict[str, int]]:
-    return {lang: _trigram_counts(text) for lang, text in PROFILE_TEXTS.items()}
+def _profiles() -> dict[str, tuple[dict[str, int], float]]:
+    """Each language's trigram histogram and its norm."""
+    profiles = {}
+    for lang, text in PROFILE_TEXTS.items():
+        counts = _trigram_counts(text)
+        profiles[lang] = (counts, _norm(counts))
+    return profiles
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -61,8 +64,10 @@ def detect_language(text: str) -> tuple[str, float]:
     if not grams:
         return "und", 0.0
     best_lang, best_sim = "und", 0.0
-    for lang in sorted(_profiles()):
-        sim = _cosine(grams, _profiles()[lang])
+    norm = _norm(grams)
+    profiles = _profiles()
+    for lang in sorted(profiles):
+        sim = _cosine(grams, norm, *profiles[lang])
         if sim > best_sim:
             best_lang, best_sim = lang, sim
     if best_sim == 0.0:

@@ -39,17 +39,13 @@ upon us use used using way well went without yet
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 _WHITESPACE = re.compile(r"\s+")
+# Everything that is neither printable ASCII nor whitespace.
+_DROPPED = re.compile(r"[^\x20-\x7e\s]+")
 
 
 def clean_text(raw: str) -> str:
     """Lowercase, strip non-ASCII symbols/emoji, collapse whitespace runs."""
-    kept = []
-    for ch in raw.lower():
-        if ch.isspace():
-            kept.append(" ")
-        elif 32 <= ord(ch) < 127:
-            kept.append(ch)
-    return _WHITESPACE.sub(" ", "".join(kept)).strip()
+    return _WHITESPACE.sub(" ", _DROPPED.sub("", raw.lower())).strip()
 
 
 def tokenize(cleaned: str) -> list[str]:

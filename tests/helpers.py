@@ -2,13 +2,22 @@
 
 Everything here is deliberately independent of the library internals it
 is used to check: the dense TF-IDF oracle works on plain lists, and the
-marker corpus is built with the stdlib random module.
+marker corpus is built with the stdlib random module.  The clean-text and
+dedupe oracles are the straightforward loops the library replaced with
+faster equivalents; the dedupe oracle shares only the library's shingle
+and Jaccard helpers.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
+
+from webcred.errors import DataError
+from webcred.ingest import WebDocument, _shingles, jaccard
+
+_WHITESPACE = re.compile(r"\s+")
 
 
 FILLER = [
@@ -91,3 +100,41 @@ def dense_tfidf_oracle(
             row = [v / total for v in row]
         matrix.append(row)
     return terms, matrix
+
+
+def clean_text_oracle(raw: str) -> str:
+    """The per-character ``textprep.clean_text`` loop it was replaced by a
+    regex equivalent of, kept verbatim as the reference."""
+    kept = []
+    for ch in raw.lower():
+        if ch.isspace():
+            kept.append(" ")
+        elif 32 <= ord(ch) < 127:
+            kept.append(ch)
+    return _WHITESPACE.sub(" ", "".join(kept)).strip()
+
+
+def dedupe_oracle(docs, jaccard_threshold):
+    """Brute-force near-duplicate dedupe: the pairwise scan against every
+    kept document that ``ingest.dedupe_near_duplicates`` replaced, kept
+    verbatim as the reference for the prefix-filtered join."""
+    if not 0.0 < jaccard_threshold <= 1.0:
+        raise DataError("jaccard_threshold must be in (0, 1]")
+    ordered = sorted(docs, key=lambda d: (-d.word_count, d.url))
+    kept: list[WebDocument] = []
+    kept_shingles: list[frozenset] = []
+    for doc in ordered:
+        sh = _shingles(doc.text)
+        duplicate = False
+        for other in kept_shingles:
+            # Jaccard is bounded by the size ratio; skip hopeless pairs.
+            smaller, larger = sorted((len(sh), len(other)))
+            if larger and smaller / larger < jaccard_threshold:
+                continue
+            if jaccard(sh, other) >= jaccard_threshold:
+                duplicate = True
+                break
+        if not duplicate:
+            kept.append(doc)
+            kept_shingles.append(sh)
+    return sorted(kept, key=lambda d: d.url)

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from helpers import make_marker_corpus
-from webcred import __version__
+from webcred import __version__, ingest
 from webcred.cli import main
 from webcred.credibility import read_scores_csv, select_families
 from webcred.eval import read_cv_report_csv
@@ -452,3 +452,68 @@ class TestExitCodes:
                    "--manifest", str(tmp_path / "m.json")])
         assert rc == 1
         assert "missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_file, argv",
+        [
+            ("webpages.jsonl", ["ingest", "--webpages", "{d}/webpages.jsonl",
+                                "--report", "{d}/report.json"]),
+            ("tweets.jsonl", ["ingest", "--webpages", "{d}/webpages.jsonl",
+                              "--tweets", "{d}/tweets.jsonl",
+                              "--report", "{d}/report.json"]),
+            ("reference_urls.txt", ["ingest", "--webpages", "{d}/webpages.jsonl",
+                                    "--reference-urls", "{d}/reference_urls.txt",
+                                    "--report", "{d}/report.json"]),
+            ("labels.csv", ["cv", "--docs", "{d}/webpages.jsonl",
+                            "--labels", "{d}/labels.csv", "--out", "{d}/cv_out.csv"]),
+            ("cv.csv", ["train", "--docs", "{d}/webpages.jsonl",
+                        "--labels", "{d}/labels.csv", "--cv-report", "{d}/cv.csv",
+                        "--out", "{d}/model_out.json"]),
+            ("model.json", ["score", "--model", "{d}/model.json",
+                            "--docs", "{d}/webpages.jsonl",
+                            "--out", "{d}/scores_out.csv"]),
+            ("scores.csv", ["terms", "--docs", "{d}/webpages.jsonl",
+                            "--scores", "{d}/scores.csv", "--out", "{d}/terms.csv"]),
+            ("ratings.csv", ["kappa", "--ratings", "{d}/ratings.csv",
+                             "--out", "{d}/kappa.json"]),
+            ("followers.csv", ["graph", "--tweets", "{d}/tweets.jsonl",
+                               "--scores", "{d}/scores.csv",
+                               "--followers", "{d}/followers.csv",
+                               "--dot", "{d}/net.dot"]),
+        ],
+    )
+    def test_non_utf8_input_exits_1(self, pipeline, tmp_path, capsys, bad_file, argv):
+        for path in pipeline["fx"].iterdir():
+            shutil.copy(path, tmp_path)
+        for name in ("model.json", "scores.csv", "cv.csv"):
+            shutil.copy(pipeline["out"] / name, tmp_path)
+        bad = tmp_path / bad_file
+        data = bad.read_bytes()
+        if bad_file == "webpages.jsonl":
+            data = b"\xff\xfe" + data  # a UTF-16 byte-order mark
+        else:
+            data = data.replace(b"\n", b"\n\xff", 1)
+        bad.write_bytes(data)
+        argv = [a.format(d=tmp_path) for a in argv]
+        rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, f"{bad}: not UTF-8")
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate", "terms"])
+def test_stages_that_never_filter_run_no_language_detection(
+    pipeline, tmp_path, monkeypatch, stage
+):
+    monkeypatch.setattr(ingest, "detect_language", pytest.fail)
+    fx, out = pipeline["fx"], pipeline["out"]
+    docs, labels = f"{fx}/webpages.jsonl", f"{fx}/labels.csv"
+    argv = {
+        "train": ["train", "--docs", docs, "--labels", labels,
+                  "--cv-report", f"{out}/cv.csv", "--out", f"{tmp_path}/model.json"],
+        "evaluate": ["evaluate", "--model", f"{out}/model.json", "--docs", docs,
+                     "--labels", labels, "--out", f"{tmp_path}/evaluation.json",
+                     "--distribution", f"{tmp_path}/distribution.csv"],
+        "terms": ["terms", "--docs", docs, "--scores", f"{out}/scores.csv",
+                  "--out", f"{tmp_path}/terms.csv"],
+    }[stage]
+    assert main(argv + ["--manifest", f"{tmp_path}/m.json"]) == 0

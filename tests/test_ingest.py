@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import dedupe_oracle
+from webcred import ingest
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import (
     WebDocument,
@@ -149,6 +152,25 @@ class TestLoadWebpages:
         doc = make_doc("http://site.org/a", "")
         assert doc.word_count == 0
 
+    def test_language_is_detected_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return "en", 1.0
+
+        monkeypatch.setattr(ingest, "detect_language", counting)
+        doc = make_doc("http://site.org/a", long_english_text(15))
+        assert calls == []
+        assert doc.language == "en"
+        assert doc.language == "en"
+        assert len(calls) == 1
+
+    def test_explicit_language_is_never_detected(self, monkeypatch):
+        monkeypatch.setattr(ingest, "detect_language", pytest.fail)
+        doc = WebDocument(url="http://a.org/", text=FRENCH_BLOCK, language="en")
+        assert doc.language == "en"
+
 
 class TestFilterCorpus:
     def test_rejection_priority_empty_then_language_then_length(self):
@@ -239,6 +261,106 @@ class TestDedupe:
             dedupe_near_duplicates([], jaccard_threshold=0.0)
         with pytest.raises(DataError):
             dedupe_near_duplicates([], jaccard_threshold=1.5)
+
+
+# A 6-word vocabulary makes near-duplicates and shared prefix shingles
+# common; texts of 0-4 words exercise the empty and single-shingle sets.
+VOCAB = ["ant", "bee", "cat", "dog", "eel", "fox"]
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.5, 0.7, 0.75, 0.8, 0.9, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@st.composite
+def near_duplicate_corpora(draw):
+    words = st.lists(st.sampled_from(VOCAB), max_size=30)
+    texts = draw(st.lists(words, min_size=1, max_size=12))
+    # Edited copies: each drops, swaps or appends a few words of a source.
+    for _ in range(draw(st.integers(0, 12))):
+        copy = list(draw(st.sampled_from(texts)))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(copy)))
+            op = draw(st.sampled_from(["drop", "swap", "add"]))
+            if op == "add" or i == len(copy):
+                copy.insert(i, draw(st.sampled_from(VOCAB)))
+            elif op == "drop":
+                del copy[i]
+            else:
+                copy[i] = draw(st.sampled_from(VOCAB))
+        texts.append(copy)
+    return [
+        WebDocument(
+            url=f"http://d{i:02d}.org/",
+            text=" ".join(words),
+            word_count=draw(st.integers(0, 3)),
+        )
+        for i, words in enumerate(texts)
+    ]
+
+
+def urls(docs):
+    return [d.url for d in docs]
+
+
+class TestPrefixFilteredDedupe:
+    """The prefix-filtered join keeps exactly what a pairwise scan keeps."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(docs=near_duplicate_corpora(), threshold=THRESHOLDS)
+    def test_matches_the_pairwise_oracle(self, docs, threshold):
+        assert urls(dedupe_near_duplicates(docs, threshold)) == urls(
+            dedupe_oracle(docs, threshold)
+        )
+
+    def test_prefix_bound_survives_float_rounding(self):
+        # 0.56 * 25 rounds up past 14, yet 14 shared shingles out of 25
+        # pass jaccard >= 0.56: the textbook prefix of
+        # 25 - ceil(0.56 * 25) + 1 shingles is one short.  y is the first
+        # 14 shingles of x, and x's 11 other shingles sort first by hash,
+        # so only a prefix one longer reaches a shingle that y shares.
+        assert 0.56 * 25 > 14 and 14 / 25 >= 0.56
+        rng = random.Random(11)
+        words = [f"w{rng.randrange(10**9)}" for _ in range(4)]
+        for start in range(25):
+            while True:
+                word = f"w{rng.randrange(10**9)}"
+                first_hash = hash(tuple(words[start:] + [word]))
+                if (first_hash < 0) == (start >= 14):
+                    break
+            words.append(word)
+        x = WebDocument(url="http://x.org/", text=" ".join(words))
+        y = WebDocument(url="http://y.org/", text=" ".join(words[:18]))
+        assert jaccard(ingest._shingles(x.text), ingest._shingles(y.text)) == 14 / 25
+        assert urls(dedupe_near_duplicates([x, y], 0.56)) == ["http://x.org/"]
+        assert urls(dedupe_oracle([x, y], 0.56)) == ["http://x.org/"]
+
+    def test_disjoint_documents_are_never_compared(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return jaccard(a, b)
+
+        monkeypatch.setattr(ingest, "jaccard", counting)
+        # Equal lengths, so the size-ratio bound alone prunes nothing.
+        docs = [
+            WebDocument(
+                url=f"http://d{d:02d}.org/",
+                text=" ".join(f"w{d}x{i}" for i in range(40)),
+            )
+            for d in range(30)
+        ]
+        assert len(dedupe_near_duplicates(docs, 0.5)) == 30
+        assert calls == []
+
+    def test_empty_texts_duplicate_each_other_only(self):
+        docs = [
+            WebDocument(url="http://b.org/", text=""),
+            WebDocument(url="http://a.org/", text="   "),
+            WebDocument(url="http://c.org/", text="one two"),
+        ]
+        assert urls(dedupe_near_duplicates(docs, 1.0)) == ["http://a.org/", "http://c.org/"]
 
 
 def test_intersect_urlsets():

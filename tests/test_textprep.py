@@ -1,10 +1,13 @@
 import math
 import random
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import dense_tfidf_oracle, make_random_token_docs
+from helpers import clean_text_oracle, dense_tfidf_oracle, make_random_token_docs
 from webcred.errors import DataError
 from webcred.textprep import (
     STOPWORDS,
@@ -19,6 +22,9 @@ from webcred.textprep import (
 )
 
 
+UNICODE_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
 class TestCleanText:
     def test_lowercases_and_collapses_whitespace(self):
         assert clean_text("Hello   WORLD\n\ttest") == "hello world test"
@@ -29,6 +35,20 @@ class TestCleanText:
     def test_empty_input(self):
         assert clean_text("") == ""
         assert clean_text(" \n ") == ""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        raw=st.text(
+            alphabet=st.one_of(
+                st.characters(max_codepoint=0x17F),  # ASCII and Latin
+                st.characters(min_codepoint=0x1F300, max_codepoint=0x1FAFF),  # emoji
+                st.sampled_from(UNICODE_SPACES),
+                st.characters(),
+            )
+        )
+    )
+    def test_matches_the_per_character_loop(self, raw):
+        assert clean_text(raw) == clean_text_oracle(raw)
 
 
 class TestTokenize:
