@@ -4,7 +4,9 @@
 Times the two hot kernels (dual coordinate descent and best-split
 search) on synthetic data of adjustable size and checks that both
 implementations agree on the result, so the benchmark doubles as a
-smoke test for the fallback path.
+smoke test for the fallback path.  The compiled kernels are the shared
+library built from ``kernels.c`` (``python setup.py build_ext --inplace``);
+without it only the pure kernels are timed.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--docs N] [--features D]
@@ -18,13 +20,11 @@ import time
 
 import numpy as np
 
-from webcred._kernels import pure
+from webcred._kernels import LIBRARY, pure
+from webcred._kernels.compiled import load
 from webcred.rng import SplitMix64
 
-try:
-    from webcred._kernels import _fast
-except ImportError:
-    _fast = None
+compiled = load(LIBRARY) if LIBRARY.exists() else None
 
 
 def make_sparse_problem(n_docs: int, n_features: int, nnz_per_doc: int, seed: int):
@@ -86,7 +86,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    if _fast is None:
+    if compiled is None:
         print("compiled kernels unavailable; timing the pure fallback only")
 
     print(f"svm_fit: {args.docs} docs, {args.features} features, "
@@ -100,8 +100,8 @@ def main() -> int:
 
     t_pure, out_pure = time_call(run_svm, pure, repeats=args.repeats)
     print(f"  pure      {t_pure:8.3f} s  ({out_pure[3]} epochs)")
-    if _fast is not None:
-        t_fast, out_fast = time_call(run_svm, _fast, repeats=args.repeats)
+    if compiled is not None:
+        t_fast, out_fast = time_call(run_svm, compiled, repeats=args.repeats)
         print(f"  compiled  {t_fast:8.3f} s  ({out_fast[3]} epochs)")
         print(f"  speedup   {t_pure / t_fast:8.1f}x")
         if out_pure[3] != out_fast[3] or not np.allclose(
@@ -116,8 +116,8 @@ def main() -> int:
     t_pure, split_pure = time_call(pure.node_best_split, X, rows, feats, y,
                                    repeats=args.repeats)
     print(f"  pure      {t_pure:8.3f} s  -> {split_pure}")
-    if _fast is not None:
-        t_fast, split_fast = time_call(_fast.node_best_split, X, rows, feats, y,
+    if compiled is not None:
+        t_fast, split_fast = time_call(compiled.node_best_split, X, rows, feats, y,
                                        repeats=args.repeats)
         print(f"  compiled  {t_fast:8.3f} s  -> {split_fast}")
         print(f"  speedup   {t_pure / t_fast:8.1f}x")
@@ -141,8 +141,8 @@ def main() -> int:
 
     t_pure, small_pure = time_call(run_small, pure, repeats=args.repeats)
     print(f"  pure      {t_pure:8.3f} s")
-    if _fast is not None:
-        t_fast, small_fast = time_call(run_small, _fast, repeats=args.repeats)
+    if compiled is not None:
+        t_fast, small_fast = time_call(run_small, compiled, repeats=args.repeats)
         print(f"  compiled  {t_fast:8.3f} s")
         print(f"  speedup   {t_pure / t_fast:8.1f}x")
         if small_pure != small_fast:

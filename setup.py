@@ -1,30 +1,22 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C kernels into a shared library.
 
-The package works without the extension (a pure numpy fallback is selected
-at import time), so a missing compiler or Cython only costs speed.
+``kernels.c`` uses no Python API; ``webcred._kernels`` loads the library
+through ctypes when it sits next to the package and otherwise falls back
+to pure numpy, so a missing C compiler only costs speed.  Build in place
+with ``python setup.py build_ext --inplace``.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy as np
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "webcred._kernels._fast",
-                ["src/webcred/_kernels/_fast.pyx"],
-                include_dirs=[np.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                # fp-contract off: the fallback kernels promise bit-identical
-                # tree splits, so FMA contraction must not change rounding.
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "webcred._kernels.kernels",
+            ["src/webcred/_kernels/kernels.c"],
+            # fp-contract off: the fallback kernels promise bit-identical
+            # tree splits, so FMA contraction must not change rounding.
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

@@ -1,6 +1,8 @@
 """Training kernels with a compiled fast path and a pure numpy fallback.
 
-The compiled extension is preferred when it imported cleanly; setting the
+The compiled kernels (``kernels.c``, called through the ctypes binding in
+``compiled.py``) are used when their shared library has been built next to
+this file, e.g. by ``python setup.py build_ext --inplace``; setting the
 environment variable ``WEBCRED_PURE_KERNELS=1`` forces the fallback, which
 is useful for benchmarking and for debugging suspected kernel issues.
 ``ACTIVE_IMPL`` records which path is in use ("compiled" or "pure").
@@ -9,22 +11,25 @@ is useful for benchmarking and for debugging suspected kernel issues.
 from __future__ import annotations
 
 import os
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 from . import pure
 
-if os.environ.get("WEBCRED_PURE_KERNELS") == "1":
-    _impl = pure
-    ACTIVE_IMPL = "pure"
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
+LIBRARY = Path(__file__).with_name("kernels" + EXTENSION_SUFFIXES[0])
 
+_impl = pure
+ACTIVE_IMPL = "pure"
+if os.environ.get("WEBCRED_PURE_KERNELS") != "1" and LIBRARY.exists():
+    from .compiled import load
+
+    try:
+        _impl = load(LIBRARY)  # type: ignore[assignment]
         ACTIVE_IMPL = "compiled"
-    except ImportError:
-        _impl = pure
-        ACTIVE_IMPL = "pure"
+    except OSError:
+        pass
 
 svm_fit = _impl.svm_fit
 node_best_split = _impl.node_best_split
 
-__all__ = ["ACTIVE_IMPL", "node_best_split", "pure", "svm_fit"]
+__all__ = ["ACTIVE_IMPL", "LIBRARY", "node_best_split", "pure", "svm_fit"]

@@ -1,12 +1,12 @@
 """Pure numpy implementations of the hot training kernels.
 
-These are the import-time fallback for :mod:`webcred._kernels._fast` and
-the reference the compiled kernels are tested against.  The tree-split
-kernel computes all split statistics from integer class counts with the
-same floating-point expressions as the compiled version, so both produce
-bit-identical trees.  The SVM kernel follows the same update sequence but
-accumulates dot products through BLAS, so its weights can differ from the
-compiled path in the last few ulps.
+These are the import-time fallback for the C kernels in ``kernels.c``
+and the reference those are tested against.  The tree-split kernel
+computes all split statistics from integer class counts with the same
+floating-point expressions as ``kernels.c``, so both produce bit-identical
+trees.  The SVM kernel follows the same update sequence but accumulates
+dot products through BLAS, so its weights can differ from ``kernels.c``
+in the last few ulps.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def node_best_split(
         n_right = m - n_left
         c1_right = total1 - c1_left
         c0_right = n_right - c1_right
-        # Explicit p*p (not **2) so the compiled kernel can reproduce the
+        # Explicit p*p (not **2) so kernels.c can reproduce the
         # exact same float64 operations.
         p0l, p1l = c0_left / n_left, c1_left / n_left
         p0r, p1r = c0_right / n_right, c1_right / n_right

@@ -300,12 +300,20 @@ def read_scores_csv(path: str | Path) -> dict[str, CredibilityResult]:
         )
         if header != expected:
             raise DataError(f"{path}: unexpected scores header {header}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            result = score_from_labels([int(v) for v in row[1:8]])
-            if result.score != int(row[8]) or result.bucket != row[9]:
-                raise DataError(f"{path}: inconsistent row for {row[0]}")
+            if len(row) != len(expected):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
+                )
+            try:
+                result = score_from_labels([int(v) for v in row[1:8]])
+                score = int(row[8])
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if result.score != score or result.bucket != row[9]:
+                raise DataError(f"{path}:{lineno}: inconsistent row for {row[0]}")
             results[row[0]] = result
     return results
 

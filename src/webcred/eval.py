@@ -129,19 +129,26 @@ def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport
         header = next(reader, None)
         if header != expected:
             raise DataError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            rows.append(
-                CvRow(
-                    criterion=int(row[0]),
-                    family=row[1],
-                    f1_mean=float(row[2]),
-                    f1_std=float(row[3]),
-                    acc_mean=float(row[4]),
-                    acc_std=float(row[5]),
+            if len(row) != len(expected):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
                 )
-            )
+            try:
+                rows.append(
+                    CvRow(
+                        criterion=int(row[0]),
+                        family=row[1],
+                        f1_mean=float(row[2]),
+                        f1_std=float(row[3]),
+                        acc_mean=float(row[4]),
+                        acc_std=float(row[5]),
+                    )
+                )
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no report rows")
     return CvReport(rows=rows, folds=folds)

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
+from urllib.parse import urlsplit, urlunsplit
 
 from .errors import CorruptInputError, DataError
 from .language import detect_language
@@ -133,8 +134,6 @@ def normalize_url(raw: str) -> str:
 
 def normalize_url_checked(raw: str) -> tuple[str, bool]:
     """Like :func:`normalize_url` but flags unparseable input as False."""
-    from urllib.parse import urlsplit, urlunsplit
-
     if not raw:
         raise DataError("empty URL")
     try:

@@ -4,8 +4,8 @@ All randomness in the package (fold shuffles, SVM coordinate order,
 bootstrap resampling, feature subsampling) flows from one explicit 64-bit
 seed through SplitMix64 (Steele, Lea & Flood's mixer, as used by
 java.util.SplittableRandom).  The algorithm is ~10 lines and is duplicated
-verbatim in the compiled kernel, which keeps the compiled and pure paths on
-identical random streams and makes results reproducible across runs,
+verbatim in ``_kernels/kernels.c``, which keeps the compiled and pure paths
+on identical random streams and makes results reproducible across runs,
 thread counts, and kernel implementations.
 """
 

@@ -499,6 +499,33 @@ class TestExitCodes:
         assert rc == 1
         assert_one_error_line(capsys.readouterr().err, f"{bad}: not UTF-8")
 
+    @pytest.mark.parametrize(
+        "bad_file, bad_row, message",
+        [
+            ("cv.csv", "x,svm,0.9,0.1,0.9,0.1", "invalid literal for int()"),
+            ("cv.csv", "1,svm,0.9", "expected 6 fields, got 3"),
+            ("scores.csv", "http://a.example.org/,1,1,1,1,1,1,1,seven,high",
+             "invalid literal for int()"),
+            ("scores.csv", "http://a.example.org/,1,1,1", "expected 10 fields, got 4"),
+        ],
+    )
+    def test_malformed_csv_row_exits_1(self, pipeline, tmp_path, capsys, bad_file,
+                                       bad_row, message):
+        fx, out = pipeline["fx"], pipeline["out"]
+        bad = tmp_path / bad_file
+        header = (out / bad_file).read_text().splitlines()[0]
+        bad.write_text(f"{header}\n{bad_row}\n")
+        argv = {
+            "cv.csv": ["train", "--docs", f"{fx}/webpages.jsonl",
+                       "--labels", f"{fx}/labels.csv", "--cv-report", str(bad),
+                       "--out", f"{tmp_path}/model.json"],
+            "scores.csv": ["terms", "--docs", f"{fx}/webpages.jsonl",
+                           "--scores", str(bad), "--out", f"{tmp_path}/terms.csv"],
+        }[bad_file]
+        rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, f"error: {bad}:2: {message}")
+
 
 @pytest.mark.parametrize("stage", ["train", "evaluate", "terms"])
 def test_stages_that_never_filter_run_no_language_detection(

@@ -9,15 +9,6 @@ import pytest
 from webcred import _kernels
 from webcred._kernels import pure
 
-try:
-    from webcred._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(
-    _fast is None, reason="compiled kernels not built"
-)
-
 
 def random_node(rng: random.Random, n_rows: int, n_feats: int, tie_heavy: bool):
     if tie_heavy:
@@ -78,41 +69,39 @@ def test_env_override_forces_pure_fallback():
     assert out.stdout.strip() == "pure"
 
 
-@needs_compiled
 class TestSplitEquivalence:
-    def test_identical_on_random_nodes(self):
+    def test_identical_on_random_nodes(self, compiled_kernels):
         rng = random.Random(1)
         for trial in range(120):
             X, rows, feats, y = random_node(
                 rng, rng.randint(2, 40), rng.randint(1, 8), tie_heavy=trial % 2 == 0
             )
             got_pure = pure.node_best_split(X, rows, feats, y)
-            got_fast = _fast.node_best_split(X, rows, feats, y)
+            got_fast = compiled_kernels.node_best_split(X, rows, feats, y)
             assert got_pure == got_fast
 
-    def test_identical_on_degenerate_nodes(self):
+    def test_identical_on_degenerate_nodes(self, compiled_kernels):
         X = np.array([[1.0, 2.0], [1.0, 2.0]])
         feats = np.array([0, 1], dtype=np.int32)
         y = np.array([0, 1], dtype=np.int8)
         for rows in ([], [0], [0, 1]):
             r = np.array(rows, dtype=np.int32)
-            assert pure.node_best_split(X, r, feats, y) == _fast.node_best_split(
-                X, r, feats, y
+            assert pure.node_best_split(X, r, feats, y) == (
+                compiled_kernels.node_best_split(X, r, feats, y)
             )
 
-    def test_constant_feature_yields_no_split_in_both(self):
+    def test_constant_feature_yields_no_split_in_both(self, compiled_kernels):
         X = np.ones((4, 1))
         rows = np.arange(4, dtype=np.int32)
         feats = np.zeros(1, dtype=np.int32)
         y = np.array([0, 1, 0, 1], dtype=np.int8)
         expected = (-1, 0.0, float("inf"))
         assert pure.node_best_split(X, rows, feats, y) == expected
-        assert _fast.node_best_split(X, rows, feats, y) == expected
+        assert compiled_kernels.node_best_split(X, rows, feats, y) == expected
 
 
-@needs_compiled
 class TestSvmEquivalence:
-    def test_same_epochs_and_near_identical_weights(self):
+    def test_same_epochs_and_near_identical_weights(self, compiled_kernels):
         rng = random.Random(2)
         for trial in range(20):
             indptr, indices, data, y = random_csr(
@@ -123,7 +112,7 @@ class TestSvmEquivalence:
             dim = 6
             args = (indptr, indices, data, y, dim, 1.0, 1e-4, 500, trial)
             w_p, b_p, a_p, e_p, c_p = pure.svm_fit(*args, False)[:5]
-            w_f, b_f, a_f, e_f, c_f = _fast.svm_fit(*args, False)[:5]
+            w_f, b_f, a_f, e_f, c_f = compiled_kernels.svm_fit(*args, False)[:5]
             # Identical visit order and update rules; only the dot-product
             # summation order differs, so results agree to float noise.
             assert e_p == e_f
@@ -132,22 +121,22 @@ class TestSvmEquivalence:
             np.testing.assert_allclose(a_p, a_f, rtol=1e-9, atol=1e-12)
             assert b_p == pytest.approx(b_f, rel=1e-9, abs=1e-12)
 
-    def test_two_point_problem_matches_exactly(self):
+    def test_two_point_problem_matches_exactly(self, compiled_kernels):
         indptr = np.array([0, 1, 2], dtype=np.int64)
         indices = np.array([0, 1], dtype=np.int32)
         data = np.array([1.0, 1.0])
         y = np.array([1.0, -1.0])
         args = (indptr, indices, data, y, 2, 100.0, 1e-4, 1000, 0)
         out_pure = pure.svm_fit(*args, False)
-        out_fast = _fast.svm_fit(*args, False)
+        out_fast = compiled_kernels.svm_fit(*args, False)
         assert np.array_equal(out_pure[0], out_fast[0])
         assert out_pure[1] == out_fast[1]
         assert out_pure[3] == out_fast[3]
 
 
-def test_trees_identical_across_implementations_when_compiled_present():
-    if _fast is None:
-        pytest.skip("compiled kernels not built")
+def test_trees_identical_across_implementations_when_compiled_present(
+    compiled_kernels, monkeypatch
+):
     # Building the same forest against each implementation must give the
     # same trees bit for bit, because split statistics use integer counts.
     import json
@@ -161,11 +150,8 @@ def test_trees_identical_across_implementations_when_compiled_present():
     tfidf = fit_tfidf(docs, vocab)
     X = [transform(d, tfidf) for d in docs]
 
-    real = _kernels.node_best_split
-    try:
-        _kernels.node_best_split = pure.node_best_split
-        with_pure = train_random_forest(X, labels, seed=33).to_dict()
-    finally:
-        _kernels.node_best_split = real
-    with_active = train_random_forest(X, labels, seed=33).to_dict()
-    assert json.dumps(with_pure) == json.dumps(with_active)
+    monkeypatch.setattr(_kernels, "node_best_split", pure.node_best_split)
+    with_pure = train_random_forest(X, labels, seed=33).to_dict()
+    monkeypatch.setattr(_kernels, "node_best_split", compiled_kernels.node_best_split)
+    with_compiled = train_random_forest(X, labels, seed=33).to_dict()
+    assert json.dumps(with_pure) == json.dumps(with_compiled)
