@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from . import __version__, _kernels, credibility, eval as evalmod, exposure, graph
 from . import ingest, models, stats
-from .errors import CorruptInputError, DataError, StratificationError, open_input
+from .errors import DataError, open_input, open_output
 from .rng import stream_seed
 from .textprep import build_vocabulary, clean_text, fit_tfidf, tokenize, transform
 
@@ -48,20 +47,16 @@ class RunManifest:
         return digest.hexdigest()
 
     def record_input(self, path: str | Path | None) -> None:
-        if path is not None:
+        if path:
             self.data["inputs"][str(path)] = self._sha256(path)
 
-    def record_output(self, path: str | Path) -> None:
-        self.data["outputs"][str(path)] = self._sha256(path)
-
-    def write(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2)
-            fh.write("\n")
+    def record_output(self, path: str | Path | None) -> None:
+        if path:
+            self.data["outputs"][str(path)] = self._sha256(path)
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -75,16 +70,8 @@ def _load_docs(path: str | Path) -> dict[str, ingest.WebDocument]:
 
 
 def _load_tweets(path: str | Path) -> tuple[list[ingest.TweetRecord], int]:
-    """Tweets with their urls normalized to match scored-document keys."""
     with open_input(path) as fh:
-        records, skipped = ingest.parse_tweets(fh)
-    normalized = [
-        dataclasses.replace(
-            t, urls=tuple(ingest.normalize_url(u) for u in t.urls)
-        )
-        for t in records
-    ]
-    return normalized, skipped
+        return ingest.parse_tweets(fh)
 
 
 def _docs_for_urls(
@@ -128,10 +115,7 @@ def _filtered_docs(
     return deduped, report
 
 
-def _cmd_ingest(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.webpages)
-    manifest.record_input(args.tweets)
-    manifest.record_input(args.reference_urls)
+def _cmd_ingest(args) -> None:
     deduped, report = _filtered_docs(args.webpages, args.min_words, args.jaccard)
     payload = report.to_dict()
     if args.tweets:
@@ -149,12 +133,9 @@ def _cmd_ingest(args, manifest: RunManifest) -> None:
         payload["reference_intersection"] = len(both)
         payload["reference_corpus_only"] = len(corpus_only)
     _write_json(payload, args.report)
-    manifest.record_output(args.report)
 
 
-def _cmd_cv(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.docs)
-    manifest.record_input(args.labels)
+def _cmd_cv(args) -> None:
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     for family in families:
@@ -172,13 +153,9 @@ def _cmd_cv(args, manifest: RunManifest) -> None:
         seed=args.seed,
     )
     report.write_csv(args.out)
-    manifest.record_output(args.out)
 
 
-def _cmd_train(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.docs)
-    manifest.record_input(args.labels)
-    manifest.record_input(args.cv_report)
+def _cmd_train(args) -> None:
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     cv_report = evalmod.read_cv_report_csv(args.cv_report)
     chosen = credibility.select_families(cv_report)
@@ -197,12 +174,9 @@ def _cmd_train(args, manifest: RunManifest) -> None:
         )
     ensemble = credibility.build_ensemble(cv_report, trained)
     _write_json(credibility.ensemble_to_dict(ensemble, tfidf), args.out)
-    manifest.record_output(args.out)
 
 
-def _cmd_grid(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.docs)
-    manifest.record_input(args.labels)
+def _cmd_grid(args) -> None:
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     if args.criterion not in labels_by_criterion:
         raise DataError(f"criterion must be 1..7, got {args.criterion}")
@@ -215,7 +189,7 @@ def _cmd_grid(args, manifest: RunManifest) -> None:
         k=args.folds,
         seed=args.seed,
     )
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["criterion", "family", "params", "f1_mean", "f1_std",
@@ -234,7 +208,6 @@ def _cmd_grid(args, manifest: RunManifest) -> None:
                     int(i == result.best_index),
                 ]
             )
-    manifest.record_output(args.out)
 
 
 def _load_model(path: str | Path):
@@ -255,9 +228,7 @@ def _load_model(path: str | Path):
         raise DataError(f"{path}: not a model file: {exc!r}") from None
 
 
-def _cmd_score(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.model)
-    manifest.record_input(args.docs)
+def _cmd_score(args) -> None:
     ensemble, tfidf = _load_model(args.model)
     deduped, _report = _filtered_docs(args.docs, args.min_words, args.jaccard)
     results = [
@@ -265,13 +236,9 @@ def _cmd_score(args, manifest: RunManifest) -> None:
         for doc in deduped
     ]
     credibility.write_scores_csv(results, args.out)
-    manifest.record_output(args.out)
 
 
-def _cmd_evaluate(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.model)
-    manifest.record_input(args.docs)
-    manifest.record_input(args.labels)
+def _cmd_evaluate(args) -> None:
     ensemble, tfidf = _load_model(args.model)
     labels = credibility.read_labels_csv(args.labels)
     urls = sorted(labels)
@@ -279,13 +246,10 @@ def _cmd_evaluate(args, manifest: RunManifest) -> None:
     gold = [labels[u] for u in urls]
     report = credibility.evaluate_ensemble(docs, gold, ensemble, tfidf)
     _write_json(report, args.out)
-    manifest.record_output(args.out)
     credibility.write_label_distribution_csv(gold, args.distribution)
-    manifest.record_output(args.distribution)
 
 
-def _cmd_kappa(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.ratings)
+def _cmd_kappa(args) -> None:
     rows: list[tuple[str, str, str]] = []
     with open_input(args.ratings, newline="") as fh:
         reader = csv.reader(fh)
@@ -298,23 +262,22 @@ def _cmd_kappa(args, manifest: RunManifest) -> None:
             raise DataError(
                 f"{args.ratings}: expected header subject,rater,category"
             )
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 3:
-                raise DataError(f"{args.ratings}: expected 3 fields per row")
+                raise DataError(
+                    f"{args.ratings}:{lineno}: expected 3 fields, got {len(row)}"
+                )
             rows.append((row[0], row[1], row[2]))
     matrix, _subjects, categories = stats.ratings_matrix_from_rows(rows)
     result = stats.fleiss_kappa(matrix)
     payload = result.to_dict()
     payload["categories"] = categories
     _write_json(payload, args.out)
-    manifest.record_output(args.out)
 
 
-def _cmd_terms(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.docs)
-    manifest.record_input(args.scores)
+def _cmd_terms(args) -> None:
     scored = credibility.read_scores_csv(args.scores)
     urls = sorted(scored)
     docs = _docs_for_urls(args.docs, urls, "scored")
@@ -324,17 +287,13 @@ def _cmd_terms(args, manifest: RunManifest) -> None:
     vocab = build_vocabulary(token_docs, min_df=args.min_df)
     ranked = stats.term_significance(low, other, vocab)
     stats.write_terms_csv(ranked, args.out)
-    manifest.record_output(args.out)
 
 
-def _cmd_exposure(args, manifest: RunManifest) -> None:
-    manifest.record_input(args.tweets)
-    manifest.record_input(args.scores)
+def _cmd_exposure(args) -> None:
     tweets, _skipped = _load_tweets(args.tweets)
     scored = credibility.read_scores_csv(args.scores)
     shares = exposure.aggregate_shares(tweets, scored)
     exposure.write_exposure_csv(shares, scored, args.out)
-    manifest.record_output(args.out)
     report = exposure.bucket_share_report(shares, scored)
     report["top_exposures"] = [
         {
@@ -345,40 +304,37 @@ def _cmd_exposure(args, manifest: RunManifest) -> None:
         for s in exposure.top_exposures(shares, args.top)
     ]
     _write_json(report, args.report)
-    manifest.record_output(args.report)
 
 
-def _cmd_graph(args, manifest: RunManifest) -> None:
+def _cmd_graph(args) -> None:
     if not args.graphml and not args.dot:
         raise DataError("graph: need --graphml and/or --dot output path")
-    manifest.record_input(args.tweets)
-    manifest.record_input(args.scores)
-    manifest.record_input(args.followers)
     tweets, _skipped = _load_tweets(args.tweets)
     scored = credibility.read_scores_csv(args.scores)
     profiles = exposure.build_user_profiles(tweets, scored)
     edges = graph.read_followers_csv(args.followers)
     network = graph.build_follower_graph(edges, profiles, min_links=args.min_links)
     graph.classify_nodes(network)
-    if args.graphml:
-        Path(args.graphml).write_text(graph.export_graph(network, "graphml"))
-        manifest.record_output(args.graphml)
-    if args.dot:
-        Path(args.dot).write_text(graph.export_graph(network, "dot"))
-        manifest.record_output(args.dot)
+    for path, fmt in ((args.graphml, "graphml"), (args.dot, "dot")):
+        if path:
+            with open_output(path) as fh:
+                fh.write(graph.export_graph(network, fmt))
 
 
-HANDLERS = {
-    "ingest": _cmd_ingest,
-    "cv": _cmd_cv,
-    "train": _cmd_train,
-    "grid": _cmd_grid,
-    "score": _cmd_score,
-    "evaluate": _cmd_evaluate,
-    "kappa": _cmd_kappa,
-    "terms": _cmd_terms,
-    "exposure": _cmd_exposure,
-    "graph": _cmd_graph,
+# Each subcommand's handler, then the arguments naming its input files and
+# its output files, in the order the run manifest records them.  An
+# argument left unset (an optional input or output) is not recorded.
+STAGES = {
+    "ingest": (_cmd_ingest, ("webpages", "tweets", "reference_urls"), ("report",)),
+    "cv": (_cmd_cv, ("docs", "labels"), ("out",)),
+    "train": (_cmd_train, ("docs", "labels", "cv_report"), ("out",)),
+    "grid": (_cmd_grid, ("docs", "labels"), ("out",)),
+    "score": (_cmd_score, ("model", "docs"), ("out",)),
+    "evaluate": (_cmd_evaluate, ("model", "docs", "labels"), ("out", "distribution")),
+    "kappa": (_cmd_kappa, ("ratings",), ("out",)),
+    "terms": (_cmd_terms, ("docs", "scores"), ("out",)),
+    "exposure": (_cmd_exposure, ("tweets", "scores"), ("out", "report")),
+    "graph": (_cmd_graph, ("tweets", "scores", "followers"), ("graphml", "dot")),
 }
 
 
@@ -507,14 +463,15 @@ def main(argv: list[str] | None = None) -> int:
         if k not in ("command", "manifest")
     }
     manifest = RunManifest(args.command, config)
+    handler, inputs, outputs = STAGES[args.command]
     try:
-        HANDLERS[args.command](args, manifest)
-        manifest_path = args.manifest or f"{args.command}_manifest.json"
-        manifest.write(manifest_path)
-    except (DataError, CorruptInputError, StratificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        for name in inputs:
+            manifest.record_input(getattr(args, name))
+        handler(args)
+        for name in outputs:
+            manifest.record_output(getattr(args, name))
+        _write_json(manifest.data, args.manifest or f"{args.command}_manifest.json")
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

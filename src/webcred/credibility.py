@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError, open_input
+from .errors import DataError, open_input, open_output
 from .eval import CvReport
 from .forest import ForestModel
 from .ingest import WebDocument
@@ -271,8 +271,8 @@ def read_labels_csv(path: str | Path) -> dict[str, tuple[int, ...]]:
                 raise DataError(f"{path}:{lineno}: duplicate url {url}")
             try:
                 labels[url] = validate_labels([int(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
     if not labels:
         raise DataError(f"{path}: no label rows")
     return labels
@@ -281,7 +281,7 @@ def read_labels_csv(path: str | Path) -> dict[str, tuple[int, ...]]:
 def write_scores_csv(
     results: Sequence[tuple[str, CredibilityResult]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["url"] + [f"c{k}" for k in range(1, N_CRITERIA + 1)] + ["score", "bucket"]
@@ -325,7 +325,7 @@ def write_label_distribution_csv(
     if not labels:
         raise DataError("no labels to summarize")
     rows = [validate_labels(v) for v in labels]
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["criterion", "proportion_satisfied"])
         for k in range(N_CRITERIA):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, StratificationError, open_input
+from .errors import DataError, StratificationError, open_input, open_output
 from .rng import SplitMix64, stream_seed
 from .textprep import build_vocabulary, fit_tfidf, transform
 
@@ -98,7 +98,7 @@ class CvReport:
     folds: int
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["criterion", "family", "f1_mean", "f1_std", "acc_mean", "acc_std"]

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .credibility import BUCKETS, N_CRITERIA, CredibilityResult
-from .errors import DataError
+from .errors import DataError, open_output
 from .ingest import TweetRecord
 
 
@@ -176,7 +176,7 @@ def write_exposure_csv(
     scored: dict[str, CredibilityResult],
     path: str | Path,
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["url", "tweet_count", "potential_exposure", "score", "bucket"])
         for share in shares:

@@ -159,9 +159,11 @@ def normalize_url_checked(raw: str) -> tuple[str, bool]:
 def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[list[TweetRecord], int]:
     """Parse line-delimited tweet records; returns (records, skipped count).
 
-    Malformed lines (bad JSON, missing/mistyped fields, invariant
-    violations) are skipped and counted.  Raises CorruptInputError when
-    more than half of the non-blank lines are malformed.
+    Each URL is normalized on the way in, so it matches the keys of the
+    scored documents.  Malformed lines (bad JSON, missing/mistyped fields,
+    an empty URL, invariant violations) are skipped and counted.  Raises
+    CorruptInputError when more than half of the non-blank lines are
+    malformed.
     """
     records: list[TweetRecord] = []
     skipped = 0
@@ -198,7 +200,7 @@ def _tweet_from_json(line: str, seen_ids: set[str]) -> TweetRecord:
         tweet_id=tweet_id,
         user_id=str(obj["user_id"]),
         follower_count=follower_count,
-        urls=tuple(urls),
+        urls=tuple(normalize_url(u) for u in urls),
         is_retweet=bool(obj["is_retweet"]),
         retweet_of=None if obj.get("retweet_of") is None else str(obj["retweet_of"]),
         timestamp=_parse_timestamp(obj["timestamp"]),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError
+from .errors import DataError, open_output
 from .textprep import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -240,7 +240,7 @@ def term_significance(
 def write_terms_csv(stats: Sequence[TermStat], path: str | Path) -> None:
     """terms.csv: one ranked row per term, with a comment line naming the
     statistical choices so downstream readers need not guess."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(
             "# two-sided fisher exact (point-probability rule); "
             "haldane-anscombe zero-cell correction; woolf 95% ci\n"

@@ -2,10 +2,13 @@ import csv
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from helpers import make_marker_corpus
+from test_acceptance import subprocess_env
 from webcred import __version__, ingest
 from webcred.cli import main
 from webcred.credibility import read_scores_csv, select_families
@@ -525,6 +528,77 @@ class TestExitCodes:
         rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
         assert rc == 1
         assert_one_error_line(capsys.readouterr().err, f"error: {bad}:2: {message}")
+
+    @pytest.mark.parametrize(
+        "bad_file, bad_row, message",
+        [
+            ("labels.csv", "http://doc00.example.org/,2,1,1,1,1,1,0",
+             "criterion labels must be 0 or 1"),
+            ("ratings.csv", "s0,r0", "expected 3 fields, got 2"),
+        ],
+    )
+    def test_malformed_input_row_exits_1(self, pipeline, tmp_path, capsys, bad_file,
+                                         bad_row, message):
+        fx = pipeline["fx"]
+        bad = tmp_path / bad_file
+        header = (fx / bad_file).read_text().splitlines()[0]
+        bad.write_text(f"{header}\n{bad_row}\n")
+        argv = {
+            "labels.csv": ["cv", "--docs", f"{fx}/webpages.jsonl",
+                           "--labels", str(bad), "--out", f"{tmp_path}/cv.csv"],
+            "ratings.csv": ["kappa", "--ratings", str(bad),
+                            "--out", f"{tmp_path}/kappa.json"],
+        }[bad_file]
+        rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, f"error: {bad}:2: {message}")
+
+
+def test_tweet_with_an_empty_url_is_skipped(pipeline, tmp_path):
+    fx, out = pipeline["fx"], pipeline["out"]
+    empty = json.loads(TWEET_LINES[0]) | {"tweet_id": "t99", "urls": [""]}
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("\n".join(TWEET_LINES + [json.dumps(empty)]) + "\n")
+    argv = ["--scores", f"{out}/scores.csv", "--manifest", f"{tmp_path}/m.json"]
+    assert main(["exposure", "--tweets", str(tweets),
+                 "--out", f"{tmp_path}/exposure.csv",
+                 "--report", f"{tmp_path}/bucket_report.json"] + argv) == 0
+    assert (tmp_path / "exposure.csv").read_bytes() == (
+        out / "exposure.csv"
+    ).read_bytes()
+    assert main(["ingest", "--webpages", f"{fx}/webpages.jsonl",
+                 "--tweets", str(tweets), "--min-words", "50",
+                 "--report", f"{tmp_path}/filter_report.json",
+                 "--manifest", f"{tmp_path}/m.json"]) == 0
+    report = json.loads((tmp_path / "filter_report.json").read_text())
+    assert report["tweets_skipped"] == 2  # the "{not json" line and t99
+
+
+def test_score_writes_utf8_under_an_ascii_locale(pipeline, tmp_path):
+    """Outputs are UTF-8 whatever the locale's preferred encoding."""
+    fx, out = pipeline["fx"], pipeline["out"]
+    lines = (fx / "webpages.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["url"] = "http://doc00.example.org/caf\u00e9"
+    docs = tmp_path / "webpages.jsonl"
+    docs.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    argv = ["score", "--model", str(out / "model.json"), "--docs", str(docs),
+            "--min-words", "50"]
+    assert main(argv + ["--out", f"{tmp_path}/utf8.csv",
+                        "--manifest", f"{tmp_path}/m.json"]) == 0
+
+    env = subprocess_env() | {
+        "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "webcred"] + argv
+        + ["--out", "ascii.csv", "--manifest", "ascii_manifest.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = (tmp_path / "ascii.csv").read_bytes()
+    assert "http://doc00.example.org/caf\u00e9,".encode("utf-8") in written
+    assert written == (tmp_path / "utf8.csv").read_bytes()
 
 
 @pytest.mark.parametrize("stage", ["train", "evaluate", "terms"])

@@ -140,6 +140,22 @@ class TestParseTweets:
         assert skipped == 1
         assert [r.tweet_id for r in records] == ["t2", "t3"]
 
+    def test_urls_are_normalized(self):
+        records, skipped = parse_tweets(
+            [self.make_line("t1", urls=["HTTP://A.ORG?utm_source=x&id=3#top",
+                                        "http://b.org/p"])]
+        )
+        assert skipped == 0
+        assert records[0].urls == ("http://a.org/?id=3", "http://b.org/p")
+
+    def test_empty_url_line_is_skipped(self):
+        records, skipped = parse_tweets(
+            [self.make_line("t1", urls=[""]), self.make_line("t2"),
+             self.make_line("t3")]
+        )
+        assert skipped == 1
+        assert [r.tweet_id for r in records] == ["t2", "t3"]
+
 
 class TestLoadWebpages:
     def test_recomputes_word_count_and_language(self):

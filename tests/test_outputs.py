@@ -1,0 +1,137 @@
+"""Every output goes through ``errors.open_output``: UTF-8, and replaced
+atomically, so a writer that fails leaves the previous file as it was."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import webcred
+from webcred import cli
+from webcred.credibility import score_from_labels, write_scores_csv
+from webcred.errors import open_output
+
+PACKAGE = Path(webcred.__file__).resolve().parent
+
+
+def write_old(path):
+    path.write_bytes(b"old contents\n")
+    return path.read_bytes()
+
+
+class TestOpenOutput:
+    def test_replaces_the_file_with_utf8_text(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_old(path)
+        with open_output(path) as fh:
+            fh.write("café\n")
+        assert path.read_bytes() == "café\n".encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failed_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        old = write_old(path)
+        with pytest.raises(RuntimeError):
+            with open_output(path) as fh:
+                fh.write("half a file")
+                raise RuntimeError("writer failed")
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_unwritable_output_is_reported_by_its_own_name(self, tmp_path):
+        path = str(tmp_path / "absent" / "out.txt")
+        with pytest.raises(FileNotFoundError) as excinfo:
+            with open_output(path):
+                pass
+        assert excinfo.value.filename == path
+
+    def test_write_scores_csv_failing_partway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        old = write_old(path)
+
+        def results():
+            yield "http://a.example.org/", score_from_labels([1] * 7)
+            raise RuntimeError("scoring failed")
+
+        with pytest.raises(RuntimeError):
+            write_scores_csv(results(), path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
+
+    def test_write_json_failing_partway_keeps_the_old_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "report.json"
+        old = write_old(path)
+
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"partial": ')
+            raise RuntimeError("serialisation failed")
+
+        monkeypatch.setattr(json, "dump", partial_dump)
+        with pytest.raises(RuntimeError):
+            cli._write_json({"a": 1}, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def _is_write_mode(node):
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return False
+    chars = set(node.value)
+    return chars <= set("rwxabt+") and bool(chars & set("wax+"))
+
+
+def _write_sites(source, filename):
+    """Each call in ``source`` that opens a file for writing, or writes
+    one through ``Path.write_text``/``write_bytes``."""
+    sites = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        if isinstance(func, ast.Name) and func.id == "open":
+            # open(path, mode): a mode that is not a literal counts too.
+            modes += node.args[1:2]
+            if any(_is_write_mode(m) or not isinstance(m, ast.Constant) for m in modes):
+                sites.append(f"{filename}:{node.lineno}: open()")
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            # Path.open(mode) or io.open(path, mode).
+            if any(_is_write_mode(m) for m in modes + node.args[:2]):
+                sites.append(f"{filename}:{node.lineno}: .open()")
+        elif getattr(func, "attr", None) in ("write_text", "write_bytes"):
+            sites.append(f"{filename}:{node.lineno}: .{func.attr}()")
+    return sites
+
+
+def test_no_writer_bypasses_open_output():
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "errors.py":
+            continue
+        sites += _write_sites(path.read_text(encoding="utf-8"), path.name)
+    assert sites == [], "write through errors.open_output instead:\n" + "\n".join(
+        sites
+    )
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ('open(p, "w")', True),
+        ('open(p, mode="a", newline="")', True),
+        ('open(p, "rb")', False),
+        ("open(p)", False),
+        ('Path(p).open("x")', True),
+        ('io.open(p, "r+")', True),
+        ("p.write_text(s)", True),
+        ("p.write_bytes(b)", True),
+        ("open(p, mode)", True),
+        ('io.open("data.txt")', False),
+        ("fh.write(s)", False),
+    ],
+)
+def test_write_site_finder(source, found):
+    assert bool(_write_sites(source, "x.py")) == found
