@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, _kernels, credibility, eval as evalmod, exposure, graph
-from . import ingest, models, stats
-from .errors import DataError, open_input, open_output
+from . import ingest, models, stats, textprep
+from .errors import DataError, open_input, open_output, output_transaction, read_csv
 from .rng import stream_seed
 from .textprep import build_vocabulary, clean_text, fit_tfidf, tokenize, transform
 
@@ -180,7 +180,10 @@ def _cmd_grid(args) -> None:
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     if args.criterion not in labels_by_criterion:
         raise DataError(f"criterion must be 1..7, got {args.criterion}")
-    grid = json.loads(args.grid) if args.grid else None
+    try:
+        grid = json.loads(args.grid) if args.grid else None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"--grid is not JSON: {exc}") from None
     result = models.grid_search(
         token_docs,
         labels_by_criterion[args.criterion],
@@ -250,26 +253,16 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_kappa(args) -> None:
-    rows: list[tuple[str, str, str]] = []
-    with open_input(args.ratings, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "subject",
-            "rater",
-            "category",
-        ]:
-            raise DataError(
-                f"{args.ratings}: expected header subject,rater,category"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(
-                    f"{args.ratings}:{lineno}: expected 3 fields, got {len(row)}"
-                )
-            rows.append((row[0], row[1], row[2]))
+    seen: set[tuple[str, str]] = set()
+
+    def parse(row: list[str]) -> tuple[str, str, str]:
+        subject, rater, category = row
+        if (subject, rater) in seen:
+            raise DataError(f"rater {rater!r} rated subject {subject!r} twice")
+        seen.add((subject, rater))
+        return subject, rater, category
+
+    rows = read_csv(args.ratings, ("subject", "rater", "category"), parse)
     matrix, _subjects, categories = stats.ratings_matrix_from_rows(rows)
     result = stats.fleiss_kappa(matrix)
     payload = result.to_dict()
@@ -357,6 +350,14 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_model_params(sub: argparse.ArgumentParser) -> None:
+    svm, rf = models.DEFAULT_PARAMS["svm"], models.DEFAULT_PARAMS["rf"]
+    sub.add_argument("--svm-c", type=float, default=svm["C"], dest="svm_c")
+    sub.add_argument(
+        "--rf-estimators", type=int, default=rf["n_estimators"], dest="rf_estimators"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="webcred",
@@ -379,10 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="cv_report.csv")
     p.add_argument("--folds", type=int, default=evalmod.DEFAULT_FOLDS)
     p.add_argument("--families", default="svm,rf")
-    p.add_argument("--svm-c", type=float, default=100.0, dest="svm_c")
-    p.add_argument(
-        "--rf-estimators", type=int, default=10, dest="rf_estimators"
-    )
+    _add_model_params(p)
     _add_common(p)
 
     p = commands.add_parser("train", help="train the per-criterion ensemble")
@@ -390,10 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--cv-report", required=True, dest="cv_report")
     p.add_argument("--out", default="model.json")
-    p.add_argument("--svm-c", type=float, default=100.0, dest="svm_c")
-    p.add_argument(
-        "--rf-estimators", type=int, default=10, dest="rf_estimators"
-    )
+    _add_model_params(p)
     _add_common(p)
 
     p = commands.add_parser("grid", help="hyperparameter grid search")
@@ -430,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", default="terms.csv")
-    p.add_argument("--min-df", type=int, default=2, dest="min_df")
+    p.add_argument("--min-df", type=int, default=textprep.DEFAULT_MIN_DF, dest="min_df")
     _add_common(p)
 
     p = commands.add_parser("exposure", help="share counts and exposure sums")
@@ -467,7 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name in inputs:
             manifest.record_input(getattr(args, name))
-        handler(args)
+        with output_transaction():
+            handler(args)
         for name in outputs:
             manifest.record_output(getattr(args, name))
         _write_json(manifest.data, args.manifest or f"{args.command}_manifest.json")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError, open_input, open_output
+from .errors import DataError, open_output, read_csv
 from .eval import CvReport
 from .forest import ForestModel
 from .ingest import WebDocument
@@ -35,6 +35,9 @@ CRITERIA_DESCRIPTIONS = {
 }
 
 BUCKETS = ("low", "medium", "high")
+
+LABELS_HEADER = ("url", *(f"c{k}" for k in range(1, N_CRITERIA + 1)))
+SCORES_HEADER = (*LABELS_HEADER, "score", "bucket")
 
 
 def validate_labels(labels: Sequence[int]) -> tuple[int, ...]:
@@ -252,27 +255,14 @@ def ensemble_from_dict(data: dict) -> tuple[EnsembleModel, TfIdfModel]:
 
 def read_labels_csv(path: str | Path) -> dict[str, tuple[int, ...]]:
     """labels.csv: url,c1,...,c7 with a header row; values 0/1."""
-    expected = ["url"] + [f"c{k}" for k in range(1, N_CRITERIA + 1)]
     labels: dict[str, tuple[int, ...]] = {}
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise DataError(
-                f"{path}: expected header {','.join(expected)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} fields")
-            url = row[0]
-            if url in labels:
-                raise DataError(f"{path}:{lineno}: duplicate url {url}")
-            try:
-                labels[url] = validate_labels([int(v) for v in row[1:]])
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+
+    def parse(row: list[str]) -> None:
+        if row[0] in labels:
+            raise DataError(f"duplicate url {row[0]}")
+        labels[row[0]] = validate_labels([int(v) for v in row[1:]])
+
+    read_csv(path, LABELS_HEADER, parse)
     if not labels:
         raise DataError(f"{path}: no label rows")
     return labels
@@ -283,38 +273,24 @@ def write_scores_csv(
 ) -> None:
     with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["url"] + [f"c{k}" for k in range(1, N_CRITERIA + 1)] + ["score", "bucket"]
-        )
+        writer.writerow(SCORES_HEADER)
         for url, result in results:
             writer.writerow([url, *result.labels, result.score, result.bucket])
 
 
 def read_scores_csv(path: str | Path) -> dict[str, CredibilityResult]:
+    """scores.csv as write_scores_csv writes it, each row self-consistent."""
     results: dict[str, CredibilityResult] = {}
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = (
-            ["url"] + [f"c{k}" for k in range(1, N_CRITERIA + 1)] + ["score", "bucket"]
-        )
-        if header != expected:
-            raise DataError(f"{path}: unexpected scores header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
-                )
-            try:
-                result = score_from_labels([int(v) for v in row[1:8]])
-                score = int(row[8])
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if result.score != score or result.bucket != row[9]:
-                raise DataError(f"{path}:{lineno}: inconsistent row for {row[0]}")
-            results[row[0]] = result
+
+    def parse(row: list[str]) -> None:
+        if row[0] in results:
+            raise DataError(f"duplicate url {row[0]}")
+        result = score_from_labels([int(v) for v in row[1:8]])
+        if result.score != int(row[8]) or result.bucket != row[9]:
+            raise DataError(f"inconsistent row for {row[0]}")
+        results[row[0]] = result
+
+    read_csv(path, SCORES_HEADER, parse)
     return results
 
 

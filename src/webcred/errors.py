@@ -1,12 +1,15 @@
 """Exception types that map to CLI exit code 1, the text-input opener that
-turns undecodable bytes into one of them, and the one text-output opener."""
+turns undecodable bytes into one of them, the one CSV reader, the one
+text-output opener, and the transaction that commits outputs together."""
 
 from __future__ import annotations
 
+import csv
+import itertools
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 
 class DataError(Exception):
@@ -36,13 +39,69 @@ def open_input(path: str | Path, newline: str | None = None) -> Iterator[TextIO]
             raise DataError(f"{path}: not UTF-8 ({exc.reason}, byte 0x{bad})") from None
 
 
+def read_csv(
+    path: str | Path,
+    header: Sequence[str],
+    parse: Callable[[list[str]], Any],
+    header_optional: bool = False,
+) -> list:
+    """``parse(row)`` for each data row of a CSV input file.
+
+    The first row is ``header``, its cells compared after ``strip().lower()``,
+    or with ``header_optional`` may be data.  Blank rows are skipped; every
+    other row must have one field per header cell.  A bad row, or a
+    ValueError or DataError from ``parse``, raises DataError("path:line: ...")
+    naming the file line the row ends on.
+    """
+    parsed = []
+    with open_input(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, [])
+            if [cell.strip().lower() for cell in first] == list(header):
+                first = []
+            elif not header_optional:
+                raise DataError(f"expected header {','.join(header)}")
+            for row in itertools.chain([first], reader):
+                if len(row) == len(header):
+                    parsed.append(parse(row))
+                elif row:
+                    raise DataError(f"expected {len(header)} fields, got {len(row)}")
+        except UnicodeDecodeError:
+            raise  # open_input names the file
+        except (ValueError, DataError, csv.Error) as exc:
+            # An empty file misses its header on line 1.
+            raise DataError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    return parsed
+
+
+# Temporary files finished inside output_transaction, and their outputs.
+_held: dict[Path, str | Path] | None = None
+
+
+@contextmanager
+def output_transaction() -> Iterator[None]:
+    """Replace the outputs that open_output writes inside the block together,
+    once the block completes; if it raises, replace none of them."""
+    global _held
+    _held = held = {}
+    try:
+        yield
+        for tmp, path in held.items():
+            os.replace(tmp, path)
+    finally:
+        _held = None
+        for tmp in held:
+            tmp.unlink(missing_ok=True)
+
+
 @contextmanager
 def open_output(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
     """Open a text output file as UTF-8 and replace ``path`` atomically.
 
     The text goes to a temporary sibling of ``path``, which replaces it
-    only when the block completes.  If the block raises, the temporary
-    file is removed and whatever was at ``path`` before stays as it was.
+    when the block (or the enclosing output_transaction) completes.  If
+    it raises, the temporary file is removed and ``path`` stays as it was.
     """
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
@@ -53,7 +112,10 @@ def open_output(path: str | Path, newline: str | None = None) -> Iterator[TextIO
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if _held is None:
+            os.replace(tmp, path)
+        else:
+            _held[tmp] = path
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, StratificationError, open_input, open_output
+from .errors import DataError, StratificationError, open_output, read_csv
 from .rng import SplitMix64, stream_seed
 from .textprep import build_vocabulary, fit_tfidf, transform
 
@@ -92,6 +92,9 @@ class CvRow:
     acc_std: float
 
 
+CV_REPORT_HEADER = ("criterion", "family", "f1_mean", "f1_std", "acc_mean", "acc_std")
+
+
 @dataclass
 class CvReport:
     rows: list[CvRow]
@@ -100,20 +103,10 @@ class CvReport:
     def write_csv(self, path: str | Path) -> None:
         with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["criterion", "family", "f1_mean", "f1_std", "acc_mean", "acc_std"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.criterion,
-                        row.family,
-                        repr(row.f1_mean),
-                        repr(row.f1_std),
-                        repr(row.acc_mean),
-                        repr(row.acc_std),
-                    ]
-                )
+            writer.writerow(CV_REPORT_HEADER)
+            for r in self.rows:
+                metrics = (r.f1_mean, r.f1_std, r.acc_mean, r.acc_std)
+                writer.writerow([r.criterion, r.family, *map(repr, metrics)])
 
 
 def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport:
@@ -122,33 +115,9 @@ def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport
     The fold count is not persisted in the file; callers that care can
     pass it, but family selection only needs the per-row means.
     """
-    expected = ["criterion", "family", "f1_mean", "f1_std", "acc_mean", "acc_std"]
-    rows: list[CvRow] = []
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise DataError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}"
-                )
-            try:
-                rows.append(
-                    CvRow(
-                        criterion=int(row[0]),
-                        family=row[1],
-                        f1_mean=float(row[2]),
-                        f1_std=float(row[3]),
-                        acc_mean=float(row[4]),
-                        acc_std=float(row[5]),
-                    )
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    rows = read_csv(
+        path, CV_REPORT_HEADER, lambda r: CvRow(int(r[0]), r[1], *map(float, r[2:]))
+    )
     if not rows:
         raise DataError(f"{path}: no report rows")
     return CvReport(rows=rows, folds=folds)

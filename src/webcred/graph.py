@@ -8,14 +8,13 @@ external tools can size nodes by audience.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import DataError, open_input
+from .errors import DataError, read_csv
 from .exposure import UserProfile
 
 DEFAULT_MIN_LINKS = 2
@@ -48,23 +47,8 @@ class FollowerGraph:
 
 
 def read_followers_csv(path: str | Path) -> list[tuple[str, str]]:
-    """Edge list follower_id,followee_id; a header row is detected and
-    skipped when its cells are exactly those column names."""
-    edges: list[tuple[str, str]] = []
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            if lineno == 1 and [v.strip().lower() for v in row] == [
-                "follower_id",
-                "followee_id",
-            ]:
-                continue
-            edges.append((row[0], row[1]))
-    return edges
+    """Edge list follower_id,followee_id; the header row is optional."""
+    return read_csv(path, ("follower_id", "followee_id"), tuple, header_optional=True)
 
 
 def _components(

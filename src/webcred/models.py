@@ -41,9 +41,14 @@ def train_model(
             # A gamma setting is meaningful only for nonlinear kernels.
             logger.warning("gamma has no effect with a linear kernel; ignored")
             merged.pop("gamma")
+        if isinstance(merged["C"], bool) or not isinstance(merged["C"], (int, float)):
+            raise DataError(f"C must be a number, got {merged['C']!r}")
         return train_linear_svm(X, y, C=merged["C"], seed=seed)
     if family == "rf":
-        return train_random_forest(X, y, n_estimators=merged["n_estimators"], seed=seed)
+        n_estimators = merged["n_estimators"]
+        if isinstance(n_estimators, bool) or not isinstance(n_estimators, int):
+            raise DataError(f"n_estimators must be an integer, got {n_estimators!r}")
+        return train_random_forest(X, y, n_estimators=n_estimators, seed=seed)
     raise DataError(f"unknown model family {family!r} (expected one of {FAMILIES})")
 
 
@@ -94,8 +99,10 @@ def grid_search(
 
     if grid is None:
         grid = DEFAULT_GRIDS[family]
-    if not grid or any(not values for values in grid.values()):
-        raise DataError("hyperparameter grid must be non-empty")
+    if not isinstance(grid, dict) or not grid or not all(
+        isinstance(values, list) and values for values in grid.values()
+    ):
+        raise DataError(f"grid must map each parameter to a non-empty list: {grid!r}")
     names = list(grid)
     points = [
         dict(zip(names, combo))

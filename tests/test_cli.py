@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_marker_corpus
 from test_acceptance import subprocess_env
@@ -618,3 +622,159 @@ def test_stages_that_never_filter_run_no_language_detection(
                   "--out", f"{tmp_path}/terms.csv"],
     }[stage]
     assert main(argv + ["--manifest", f"{tmp_path}/m.json"]) == 0
+
+
+@pytest.mark.parametrize(
+    "family, grid, message",
+    [
+        ("svm", "not json", "--grid is not JSON"),
+        ("svm", '{"C": 1}', "non-empty list"),
+        ("svm", "[1]", "non-empty list"),
+        ("svm", '{"C": ["x"]}', "C must be a number, got 'x'"),
+        ("rf", '{"n_estimators": [2.5]}', "n_estimators must be an integer, got 2.5"),
+    ],
+)
+def test_invalid_grid_exits_1(pipeline, tmp_path, capsys, family, grid, message):
+    fx = pipeline["fx"]
+    rc = main(["grid", "--docs", f"{fx}/webpages.jsonl", "--labels", f"{fx}/labels.csv",
+               "--criterion", "2", "--family", family, "--grid", grid,
+               "--folds", "3", "--out", f"{tmp_path}/grid.csv",
+               "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["evaluate", "--model", "{out}/model.json", "--docs", "{fx}/webpages.jsonl",
+          "--labels", "{fx}/labels.csv"], "--out", "--distribution"),
+        (["exposure", "--tweets", "{fx}/tweets.jsonl", "--scores", "{out}/scores.csv"],
+         "--out", "--report"),
+        (["graph", "--tweets", "{fx}/tweets.jsonl", "--scores", "{out}/scores.csv",
+          "--followers", "{fx}/followers.csv", "--min-links", "1"],
+         "--graphml", "--dot"),
+    ],
+)
+def test_a_failing_second_output_keeps_the_first(pipeline, tmp_path, capsys, argv,
+                                                 first, second):
+    """A stage's outputs are committed together: when the second cannot be
+    written, the first stays as it was and no temporary file is left."""
+    fx, out = pipeline["fx"], pipeline["out"]
+    kept = tmp_path / "first.out"
+    kept.write_bytes(b"previous run\n")
+    argv = [a.format(fx=fx, out=out) for a in argv]
+    rc = main(argv + [first, str(kept), second, f"{tmp_path}/nodir/second.out",
+                      "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "nodir")
+    assert kept.read_bytes() == b"previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.out"]
+
+
+@pytest.mark.parametrize(
+    "bad_file, rows, message",
+    [
+        ("scores.csv", ["{row}", "{row}"], "scores.csv:3: duplicate url"),
+        ("ratings.csv", ["s0,r0,credible", "s1,r0,credible", "s0,r0,suspect"],
+         "ratings.csv:4: rater 'r0' rated subject 's0' twice"),
+        # The quoted url spans lines 2 and 3, so the bad row is on line 4.
+        ("labels.csv", ['"http://a.example.org/\nx",1,1,1,1,1,1,1', "{row}",
+                        "http://b.example.org/,1,1,1,1,1,1,x"],
+         "labels.csv:5: invalid literal for int()"),
+    ],
+)
+def test_bad_row_is_reported_at_its_file_line(pipeline, tmp_path, capsys, bad_file,
+                                              rows, message):
+    fx, out = pipeline["fx"], pipeline["out"]
+    source = out / bad_file if bad_file == "scores.csv" else fx / bad_file
+    header, first_row = source.read_text().splitlines()[:2]
+    bad = tmp_path / bad_file
+    bad.write_text("\n".join([header] + [r.format(row=first_row) for r in rows]) + "\n")
+    argv = {
+        "scores.csv": ["terms", "--docs", f"{fx}/webpages.jsonl", "--scores", str(bad),
+                       "--out", f"{tmp_path}/terms.csv"],
+        "ratings.csv": ["kappa", "--ratings", str(bad),
+                        "--out", f"{tmp_path}/kappa.json"],
+        "labels.csv": ["cv", "--docs", f"{fx}/webpages.jsonl", "--labels", str(bad),
+                       "--out", f"{tmp_path}/cv.csv"],
+    }[bad_file]
+    rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, f"error: {tmp_path}/{message}")
+
+
+# Each CSV input, the pipeline directory it comes from, and the stage that
+# reads it ({d} is the directory the mutated file and outputs go to).
+CSV_INPUTS = {
+    "labels.csv": ("fx", ["evaluate", "--model", "{out}/model.json",
+                          "--docs", "{fx}/webpages.jsonl", "--labels", "{d}/labels.csv",
+                          "--out", "{d}/evaluation.json",
+                          "--distribution", "{d}/distribution.csv"]),
+    "cv.csv": ("out", ["train", "--docs", "{fx}/webpages.jsonl",
+                       "--labels", "{fx}/labels.csv", "--cv-report", "{d}/cv.csv",
+                       "--out", "{d}/model.json"]),
+    "scores.csv": ("out", ["terms", "--docs", "{fx}/webpages.jsonl",
+                           "--scores", "{d}/scores.csv", "--out", "{d}/terms.csv"]),
+    "ratings.csv": ("fx", ["kappa", "--ratings", "{d}/ratings.csv",
+                           "--out", "{d}/kappa.json"]),
+    "followers.csv": ("fx", ["graph", "--tweets", "{fx}/tweets.jsonl",
+                             "--scores", "{out}/scores.csv",
+                             "--followers", "{d}/followers.csv",
+                             "--dot", "{d}/net.dot", "--min-links", "1"]),
+}
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` with one line truncated, a field dropped or added, a number
+    swapped for text, or a non-UTF-8 byte injected."""
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    kind = draw(st.sampled_from(["truncate", "drop", "add", "text", "byte"]))
+    if kind == "truncate":
+        line = line[: draw(st.integers(0, len(line)))]
+    elif kind == "drop":
+        fields = line.split(b",")
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        line = b",".join(fields)
+    elif kind == "add":
+        line += b"," + draw(st.sampled_from([b"", b"1", b"x", b'"q"']))
+    elif kind == "text":
+        numbers = list(re.finditer(rb"\d+(\.\d+)?", line))
+        if numbers:
+            m = draw(st.sampled_from(numbers))
+            line = line[: m.start()] + b"seven" + line[m.end() :]
+    else:
+        at = draw(st.integers(0, len(line)))
+        byte = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"]))
+        line = line[:at] + byte + line[at:]
+    lines[i] = line
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_INPUTS))
+def test_mutated_csv_input_exits_0_or_1_with_one_error_line(pipeline, tmp_path, name):
+    source, argv = CSV_INPUTS[name]
+    data = (pipeline[source] / name).read_bytes()
+    argv = [
+        a.format(d=tmp_path, fx=pipeline["fx"], out=pipeline["out"]) for a in argv
+    ] + ["--manifest", f"{tmp_path}/m.json"]
+
+    # One directory serves every example; each overwrites the same files.
+    @settings(max_examples=25, deadline=None)
+    @given(bad=mutated(data))
+    def check(bad):
+        (tmp_path / name).write_bytes(bad)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1)
+        if rc == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert "Traceback" not in err.getvalue()
+
+    check()

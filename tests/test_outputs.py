@@ -1,5 +1,6 @@
 """Every output goes through ``errors.open_output``: UTF-8, and replaced
-atomically, so a writer that fails leaves the previous file as it was."""
+atomically, so a writer that fails leaves the previous file as it was.
+Every CSV input goes through ``errors.read_csv``."""
 
 import ast
 import json
@@ -10,7 +11,7 @@ import pytest
 import webcred
 from webcred import cli
 from webcred.credibility import score_from_labels, write_scores_csv
-from webcred.errors import open_output
+from webcred.errors import open_output, output_transaction
 
 PACKAGE = Path(webcred.__file__).resolve().parent
 
@@ -76,6 +77,42 @@ class TestOpenOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
+class TestOutputTransaction:
+    def test_outputs_replace_their_files_when_the_block_completes(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        old = write_old(first)
+        with output_transaction():
+            with open_output(first) as fh:
+                fh.write("new a\n")
+            assert first.read_bytes() == old
+            with open_output(second) as fh:
+                fh.write("new b\n")
+            assert not second.exists()
+        assert first.read_text() == "new a\n"
+        assert second.read_text() == "new b\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_a_failing_block_keeps_every_old_file(self, tmp_path):
+        first = tmp_path / "a.txt"
+        old = write_old(first)
+        with pytest.raises(FileNotFoundError):
+            with output_transaction():
+                with open_output(first) as fh:
+                    fh.write("new a\n")
+                with open_output(tmp_path / "absent" / "b.txt"):
+                    pass
+        assert first.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+
+    def test_open_output_replaces_at_once_after_the_block(self, tmp_path):
+        with output_transaction():
+            pass
+        path = tmp_path / "out.txt"
+        with open_output(path) as fh:
+            fh.write("now\n")
+        assert path.read_text() == "now\n"
+
+
 def _is_write_mode(node):
     if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
         return False
@@ -135,3 +172,50 @@ def test_no_writer_bypasses_open_output():
 )
 def test_write_site_finder(source, found):
     assert bool(_write_sites(source, "x.py")) == found
+
+
+def _csv_reader_sites(source, filename):
+    """Each call of ``csv.reader`` or ``csv.DictReader`` in ``source``, and
+    each import of them from ``csv``."""
+    sites = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "csv"
+            and node.func.attr in ("reader", "DictReader")
+        ):
+            sites.append(f"{filename}:{node.lineno}: csv.{node.func.attr}()")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            names = {alias.name for alias in node.names}
+            if names & {"reader", "DictReader", "*"}:
+                sites.append(f"{filename}:{node.lineno}: from csv import")
+    return sites
+
+
+def test_no_csv_input_bypasses_read_csv():
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "errors.py":
+            continue
+        sites += _csv_reader_sites(path.read_text(encoding="utf-8"), path.name)
+    assert sites == [], "read CSV through errors.read_csv instead:\n" + "\n".join(
+        sites
+    )
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("csv.reader(fh)", True),
+        ("csv.DictReader(fh)", True),
+        ("from csv import reader", True),
+        ("from csv import *", True),
+        ("csv.writer(fh)", False),
+        ("from csv import writer", False),
+        ("read_csv(path, header, parse)", False),
+    ],
+)
+def test_csv_reader_site_finder(source, found):
+    assert bool(_csv_reader_sites(source, "x.py")) == found
