@@ -9,7 +9,6 @@ no timestamps), so repeat runs can be diffed byte for byte.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -17,7 +16,9 @@ from pathlib import Path
 
 from . import __version__, _kernels, credibility, eval as evalmod, exposure, graph
 from . import ingest, models, stats, textprep
-from .errors import DataError, open_input, open_output, output_transaction, read_csv
+from .errors import (
+    DataError, open_input, open_output, output_transaction, read_csv, write_csv
+)
 from .rng import stream_seed
 from .textprep import build_vocabulary, clean_text, fit_tfidf, tokenize, transform
 
@@ -192,25 +193,16 @@ def _cmd_grid(args) -> None:
         k=args.folds,
         seed=args.seed,
     )
-    with open_output(args.out, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["criterion", "family", "params", "f1_mean", "f1_std",
-             "acc_mean", "acc_std", "selected"]
-        )
-        for i, point in enumerate(result.table):
-            writer.writerow(
-                [
-                    args.criterion,
-                    args.family,
-                    json.dumps(point.params, sort_keys=True),
-                    repr(point.f1_mean),
-                    repr(point.f1_std),
-                    repr(point.acc_mean),
-                    repr(point.acc_std),
-                    int(i == result.best_index),
-                ]
-            )
+    write_csv(
+        args.out,
+        ("criterion", "family", "params", "f1_mean", "f1_std",
+         "acc_mean", "acc_std", "selected"),
+        (
+            (args.criterion, args.family, json.dumps(p.params, sort_keys=True),
+             p.f1_mean, p.f1_std, p.acc_mean, p.acc_std, int(i == result.best_index))
+            for i, p in enumerate(result.table)
+        ),
+    )
 
 
 def _load_model(path: str | Path):

@@ -9,12 +9,11 @@ families.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError, open_output, read_csv
+from .errors import DataError, json_number, read_csv, write_csv
 from .eval import CvReport
 from .forest import ForestModel
 from .ingest import WebDocument
@@ -240,10 +239,21 @@ def ensemble_from_dict(data: dict) -> tuple[EnsembleModel, TfIdfModel]:
     tfidf = TfIdfModel.from_dict(data["tfidf"])
     entries: dict[int, EnsembleEntry] = {}
     for item in data["criteria"]:
-        criterion = int(item["criterion"])
-        model = model_from_dict(
-            {"family": item["family"], "params": item["params"], **item["weights_or_trees"]}
-        )
+        criterion = json_number(item["criterion"], "criterion", integer=True)
+        if not 1 <= criterion <= N_CRITERIA or criterion in entries:
+            raise DataError(f"criterion {criterion} repeated or not in 1..{N_CRITERIA}")
+        try:
+            model = model_from_dict(
+                {"family": item["family"], "params": item["params"],
+                 **item["weights_or_trees"]}
+            )
+            if model.dim != tfidf.dim:
+                raise DataError(
+                    f"model dimension {model.dim} is not the TF-IDF "
+                    f"dimension {tfidf.dim}"
+                )
+        except DataError as exc:
+            raise DataError(f"criterion {criterion}: {exc}") from None
         entries[criterion] = EnsembleEntry(
             criterion=criterion,
             family=item["family"],
@@ -271,11 +281,11 @@ def read_labels_csv(path: str | Path) -> dict[str, tuple[int, ...]]:
 def write_scores_csv(
     results: Sequence[tuple[str, CredibilityResult]], path: str | Path
 ) -> None:
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_HEADER)
-        for url, result in results:
-            writer.writerow([url, *result.labels, result.score, result.bucket])
+    write_csv(
+        path,
+        SCORES_HEADER,
+        ((url, *r.labels, r.score, r.bucket) for url, r in results),
+    )
 
 
 def read_scores_csv(path: str | Path) -> dict[str, CredibilityResult]:
@@ -301,9 +311,8 @@ def write_label_distribution_csv(
     if not labels:
         raise DataError("no labels to summarize")
     rows = [validate_labels(v) for v in labels]
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "proportion_satisfied"])
-        for k in range(N_CRITERIA):
-            proportion = sum(r[k] for r in rows) / len(rows)
-            writer.writerow([k + 1, repr(proportion)])
+    write_csv(
+        path,
+        ("criterion", "proportion_satisfied"),
+        ((k + 1, sum(r[k] for r in rows) / len(rows)) for k in range(N_CRITERIA)),
+    )

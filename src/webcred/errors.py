@@ -1,15 +1,20 @@
 """Exception types that map to CLI exit code 1, the text-input opener that
-turns undecodable bytes into one of them, the one CSV reader, the one
-text-output opener, and the transaction that commits outputs together."""
+turns undecodable bytes into one of them, the checks that turn a model
+file's JSON values into numbers, the one CSV reader and the one CSV
+writer, the one text-output opener, and the transaction that commits
+outputs together."""
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 
 class DataError(Exception):
@@ -37,6 +42,28 @@ def open_input(path: str | Path, newline: str | None = None) -> Iterator[TextIO]
         except UnicodeDecodeError as exc:
             bad = exc.object[exc.start : exc.start + 1].hex()
             raise DataError(f"{path}: not UTF-8 ({exc.reason}, byte 0x{bad})") from None
+
+
+def json_number(value: Any, what: str, integer: bool = False) -> int | float:
+    """``value`` as decoded from JSON, if it is a 64-bit integer, or unless
+    ``integer`` a finite number (returned as a float); anything else, a bool
+    included, raises DataError naming ``what``."""
+    if type(value) is int and -(2**63) <= value < 2**64:
+        return value if integer else float(value)
+    if not integer and type(value) is float and math.isfinite(value):
+        return value
+    kind = "a 64-bit integer" if integer else "a finite number"
+    raise DataError(f"{what} must be {kind}, got {value!r}")
+
+
+def json_numbers(values: Any, what: str, integer: bool = False) -> np.ndarray:
+    """A JSON list of numbers, each checked by json_number, as an int64
+    (``integer``) or float64 array."""
+    numbers = [json_number(v, what, integer) for v in values]
+    try:
+        return np.array(numbers, dtype=np.int64 if integer else np.float64)
+    except OverflowError:
+        raise DataError(f"{what} out of the int64 range") from None
 
 
 def read_csv(
@@ -73,6 +100,26 @@ def read_csv(
             # An empty file misses its header on line 1.
             raise DataError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     return parsed
+
+
+def write_csv(
+    path: str | Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence[Any]],
+    preamble: str = "",
+) -> None:
+    """Write ``preamble`` verbatim, then ``header`` and ``rows`` as CSV.
+
+    The format is csv.writer's default: comma-separated, CRLF line ends,
+    a field quoted only when it needs it, and a float in its shortest
+    round-trip form.  ``rows`` may be a generator; if it raises, the file
+    at ``path`` stays as it was (see open_output).
+    """
+    with open_output(path, newline="") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # Temporary files finished inside output_transaction, and their outputs.

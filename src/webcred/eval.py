@@ -7,14 +7,13 @@ stratifies folds because several criteria are heavily imbalanced.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, StratificationError, open_output, read_csv
+from .errors import DataError, StratificationError, read_csv, write_csv
 from .rng import SplitMix64, stream_seed
 from .textprep import build_vocabulary, fit_tfidf, transform
 
@@ -101,12 +100,7 @@ class CvReport:
     folds: int
 
     def write_csv(self, path: str | Path) -> None:
-        with open_output(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CV_REPORT_HEADER)
-            for r in self.rows:
-                metrics = (r.f1_mean, r.f1_std, r.acc_mean, r.acc_std)
-                writer.writerow([r.criterion, r.family, *map(repr, metrics)])
+        write_csv(path, CV_REPORT_HEADER, map(astuple, self.rows))
 
 
 def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport:

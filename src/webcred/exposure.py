@@ -8,7 +8,6 @@ attempted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .credibility import BUCKETS, N_CRITERIA, CredibilityResult
-from .errors import DataError, open_output
+from .errors import DataError, write_csv
 from .ingest import TweetRecord
 
 
@@ -176,17 +175,12 @@ def write_exposure_csv(
     scored: dict[str, CredibilityResult],
     path: str | Path,
 ) -> None:
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["url", "tweet_count", "potential_exposure", "score", "bucket"])
-        for share in shares:
-            result = scored[share.url]
-            writer.writerow(
-                [
-                    share.url,
-                    share.tweet_count,
-                    share.potential_exposure,
-                    result.score,
-                    result.bucket,
-                ]
-            )
+    write_csv(
+        path,
+        ("url", "tweet_count", "potential_exposure", "score", "bucket"),
+        (
+            (s.url, s.tweet_count, s.potential_exposure,
+             scored[s.url].score, scored[s.url].bucket)
+            for s in shares
+        ),
+    )

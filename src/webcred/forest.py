@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DataError
+from .errors import DataError, json_number, json_numbers
 from .rng import SplitMix64, stream_seed
 from .svm import _validate_training_set
 from .textprep import SparseVector, to_dense
@@ -79,14 +79,25 @@ class Tree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(data["feature"], dtype=np.int32),
-            threshold=np.asarray(data["threshold"], dtype=np.float64),
-            left=np.asarray(data["left"], dtype=np.int32),
-            right=np.asarray(data["right"], dtype=np.int32),
-            count0=np.asarray(data["count0"], dtype=np.int64),
-            count1=np.asarray(data["count1"], dtype=np.int64),
-        )
+        """Inverse of :meth:`to_dict`.  Raises DataError unless every array
+        holds one number per node and each split node's children come after
+        it, so that prediction always ends at a leaf."""
+        arrays = {
+            key: json_numbers(data[key], key, integer=key != "threshold")
+            for key in ("feature", "threshold", "left", "right", "count0", "count1")
+        }
+        n = len(arrays["feature"])
+        if n == 0 or any(len(a) != n for a in arrays.values()):
+            raise DataError("tree arrays must all have one entry per node")
+        split = arrays["feature"] >= 0
+        node = np.arange(n)[split]
+        for side in ("left", "right"):
+            child = arrays[side][split]
+            bad = (child <= node) | (child >= n)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataError(f"node {node[i]} has {side} child {child[i]}")
+        return cls(**arrays)
 
 
 @dataclass
@@ -128,12 +139,34 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ForestModel":
+        """Inverse of :meth:`to_dict`.  Raises DataError for a value that is
+        not a number, a tree count other than n_estimators (at least 1), a
+        malformed tree, or a feature outside -1..n_features-1."""
+        params = data["params"]
+        n_estimators = json_number(params["n_estimators"], "n_estimators", integer=True)
+        n_features = json_number(data["n_features"], "n_features", integer=True)
+        trees = []
+        for i, tree_data in enumerate(data["trees"]):
+            try:
+                tree = Tree.from_dict(tree_data)
+                bad = (tree.feature < -1) | (tree.feature >= n_features)
+                if bad.any():
+                    raise DataError(
+                        f"feature {tree.feature[bad][0]} outside -1..{n_features - 1}"
+                    )
+            except DataError as exc:
+                raise DataError(f"tree {i}: {exc}") from None
+            trees.append(tree)
+        if n_estimators < 1 or len(trees) != n_estimators:
+            raise DataError(f"{len(trees)} trees for n_estimators {n_estimators}")
         return cls(
-            trees=[Tree.from_dict(t) for t in data["trees"]],
-            n_features=int(data["n_features"]),
-            n_estimators=int(data["params"]["n_estimators"]),
-            min_impurity_split=float(data["params"]["min_impurity_split"]),
-            seed=int(data["seed"]),
+            trees=trees,
+            n_features=n_features,
+            n_estimators=n_estimators,
+            min_impurity_split=json_number(
+                params["min_impurity_split"], "min_impurity_split"
+            ),
+            seed=json_number(data["seed"], "seed", integer=True),
         )
 
 
@@ -201,7 +234,7 @@ def _build_tree(
 
 
 def train_random_forest(
-    X: Sequence[SparseVector] | np.ndarray,
+    X: Sequence[SparseVector],
     y: Sequence[int],
     n_estimators: int = DEFAULT_N_ESTIMATORS,
     min_impurity_split: float = MIN_IMPURITY_SPLIT,
@@ -210,17 +243,13 @@ def train_random_forest(
 ) -> ForestModel:
     """Train ``n_estimators`` bagged Gini trees on 0/1 labels.
 
-    ``X`` may be a sequence of sparse vectors or an already-dense matrix.
     With ``threads > 1`` trees train concurrently; tree i always uses the
     substream stream_seed(seed, i), so the forest is identical either way.
     """
     if n_estimators < 1:
         raise DataError(f"n_estimators must be >= 1, got {n_estimators}")
     _validate_training_set(X, y)
-    if isinstance(X, np.ndarray):
-        dense = np.ascontiguousarray(X, dtype=np.float64)
-    else:
-        dense = np.ascontiguousarray(to_dense(X))
+    dense = to_dense(X)
     labels = np.asarray(y, dtype=np.int8)
 
     def build(i: int) -> Tree:

@@ -26,6 +26,10 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "rf": {"n_estimators": 10},
 }
 
+# The parameters a grid may vary per family; train_model ignores svm's
+# gamma with a warning.
+GRID_PARAMS = {"svm": ("C", "gamma"), "rf": ("n_estimators",)}
+
 
 def train_model(
     family: str,
@@ -103,6 +107,12 @@ def grid_search(
         isinstance(values, list) and values for values in grid.values()
     ):
         raise DataError(f"grid must map each parameter to a non-empty list: {grid!r}")
+    for name in grid:
+        if name not in GRID_PARAMS[family]:
+            raise DataError(
+                f"{family} has no parameter {name!r} "
+                f"(expected one of {', '.join(GRID_PARAMS[family])})"
+            )
     names = list(grid)
     points = [
         dict(zip(names, combo))

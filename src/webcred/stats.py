@@ -8,14 +8,13 @@ documents from the rest.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError, open_output
+from .errors import DataError, write_csv
 from .textprep import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -51,9 +50,7 @@ class KappaResult:
         }
 
 
-def fleiss_kappa(
-    ratings: Sequence[Sequence[int]], raters_per_subject: int | None = None
-) -> KappaResult:
+def fleiss_kappa(ratings: Sequence[Sequence[int]]) -> KappaResult:
     """Chance-corrected agreement over a subjects x categories count matrix.
 
     Every row must sum to the same rater count n >= 2.  The standard error
@@ -65,7 +62,7 @@ def fleiss_kappa(
     n_categories = len(ratings[0])
     if n_categories < 2:
         raise DataError("fleiss kappa needs at least 2 categories")
-    n = raters_per_subject if raters_per_subject is not None else sum(ratings[0])
+    n = sum(ratings[0])
     if n < 2:
         raise DataError("fleiss kappa needs at least 2 raters per subject")
     col_sums = [0] * n_categories
@@ -240,29 +237,16 @@ def term_significance(
 def write_terms_csv(stats: Sequence[TermStat], path: str | Path) -> None:
     """terms.csv: one ranked row per term, with a comment line naming the
     statistical choices so downstream readers need not guess."""
-    with open_output(path, newline="") as fh:
-        fh.write(
-            "# two-sided fisher exact (point-probability rule); "
-            "haldane-anscombe zero-cell correction; woolf 95% ci\n"
-        )
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["term", "a", "b", "c", "d", "odds_ratio", "ci_low", "ci_high", "p_value"]
-        )
-        for t in stats:
-            writer.writerow(
-                [
-                    t.term,
-                    t.a,
-                    t.b,
-                    t.c,
-                    t.d,
-                    repr(t.odds_ratio),
-                    repr(t.ci_low),
-                    repr(t.ci_high),
-                    repr(t.p_value),
-                ]
-            )
+    write_csv(
+        path,
+        ("term", "a", "b", "c", "d", "odds_ratio", "ci_low", "ci_high", "p_value"),
+        (
+            (t.term, t.a, t.b, t.c, t.d, t.odds_ratio, t.ci_low, t.ci_high, t.p_value)
+            for t in stats
+        ),
+        preamble="# two-sided fisher exact (point-probability rule); "
+        "haldane-anscombe zero-cell correction; woolf 95% ci\n",
+    )
 
 
 def ratings_matrix_from_rows(

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import DataError
+from .errors import DataError, json_number, json_numbers
 from .textprep import SparseVector, to_csr
 
 logger = logging.getLogger(__name__)
@@ -78,17 +78,20 @@ class SvmModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SvmModel":
-        """Inverse of :meth:`to_dict`; models saved without "fit" load too."""
+        """Inverse of :meth:`to_dict`; models saved without "fit" load too.
+        A value that is not a number raises DataError."""
         model = cls(
-            weights=np.asarray(data["weights"], dtype=np.float64),
-            bias=float(data["bias"]),
-            C=float(data["params"]["C"]),
+            weights=json_numbers(data["weights"], "svm weight"),
+            bias=json_number(data["bias"], "svm bias"),
+            C=json_number(data["params"]["C"], "C"),
         )
         if "fit" in data:
             fit = data["fit"]
-            model.epochs_run = int(fit["epochs_run"])
+            model.epochs_run = json_number(
+                fit["epochs_run"], "epochs_run", integer=True
+            )
             model.converged = bool(fit["converged"])
-            model.relative_gap = float(fit["relative_gap"])
+            model.relative_gap = json_number(fit["relative_gap"], "relative_gap")
         return model
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, json_number
 
 DEFAULT_MIN_DF = 2
 
@@ -98,16 +98,29 @@ class TfIdfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TfIdfModel":
+        """Inverse of :meth:`to_dict`.  Raises DataError unless the norm is
+        l1 (the one ``transform`` applies), the counts are integers and the
+        vocab indices number the V terms 0..V-1, each once."""
         if data.get("idf_formula") != IDF_FORMULA:
             raise DataError(f"unsupported idf formula: {data.get('idf_formula')!r}")
-        index = {row["term"]: row["index"] for row in data["vocab"]}
-        df = {row["term"]: row["df"] for row in data["vocab"]}
-        vocab = Vocabulary(index=index, df=df, n_docs=data["n_docs"])
+        norm = data.get("norm", "l1")
+        if norm != "l1":
+            raise DataError(f"unsupported norm {norm!r}: features are l1-normalized")
+        index: dict[str, int] = {}
+        df: dict[str, int] = {}
+        for row in data["vocab"]:
+            term = row["term"]
+            index[term] = json_number(row["index"], f"index of {term!r}", integer=True)
+            df[term] = json_number(row["df"], f"df of {term!r}", integer=True)
+        if sorted(index.values()) != list(range(len(data["vocab"]))):
+            raise DataError("vocab indices must number the terms 0..V-1, each once")
+        n_docs = json_number(data["n_docs"], "n_docs", integer=True)
+        min_df = json_number(data.get("min_df", DEFAULT_MIN_DF), "min_df", integer=True)
+        vocab = Vocabulary(index=index, df=df, n_docs=n_docs)
         return cls(
             vocabulary=vocab,
             idf=_idf_from_vocab(vocab),
-            norm=data.get("norm", "l1"),
-            min_df=data.get("min_df", DEFAULT_MIN_DF),
+            min_df=min_df,
             stopwords=frozenset(data.get("stopwords", [])),
         )
 
@@ -159,8 +172,8 @@ def _idf_from_vocab(vocab: Vocabulary) -> np.ndarray:
     idf = np.empty(len(vocab))
     for term, i in vocab.index.items():
         df = vocab.df[term]
-        if df < 1:
-            raise DataError(f"term {term!r} has df=0")
+        if not 1 <= df <= n:
+            raise DataError(f"term {term!r} has df={df}, outside 1..{n}")
         idf[i] = math.log((1 + n) / (1 + df)) + 1.0
     return idf
 

@@ -448,6 +448,52 @@ class TestExitCodes:
         assert rc == 1
         assert_one_error_line(capsys.readouterr().err, message)
 
+    # Criterion 1 is made an SVM over the pipeline model's vocabulary;
+    # criterion 2 is a forest.
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("criteria", 0, "weights_or_trees", "weights", 0), "x",
+             "criterion 1: svm weight must be a finite number, got 'x'"),
+            (("criteria", 1, "weights_or_trees", "trees", 0, "threshold", 0), "x",
+             "criterion 2: tree 0: threshold must be a finite number, got 'x'"),
+            (("criteria", 2, "criterion"), "x",
+             "criterion must be a 64-bit integer, got 'x'"),
+            (("criteria", 1, "weights_or_trees", "trees", 0, "feature", 0), 1000000,
+             "criterion 2: tree 0: feature 1000000 outside -1.."),
+            (("tfidf", "norm"), "l2", "unsupported norm 'l2'"),
+            (("tfidf", "vocab", 1, "index"), 0,
+             "vocab indices must number the terms 0..V-1, each once"),
+            (("criteria", 0, "weights_or_trees", "weights"), [0.0],
+             "criterion 1: model dimension 1 is not the TF-IDF dimension"),
+            (("criteria", 1, "weights_or_trees", "trees"), [],
+             "criterion 2: 0 trees for n_estimators"),
+        ],
+        ids=["svm-weight", "threshold", "criterion", "feature", "norm", "vocab-index",
+             "dimension", "no-trees"],
+    )
+    def test_malformed_model_value_exits_1(self, pipeline, tmp_path, capsys, where,
+                                           value, message):
+        model = json.loads((pipeline["out"] / "model.json").read_text())
+        dim = len(model["tfidf"]["vocab"])
+        model["criteria"][0].update(
+            family="svm",
+            params={"C": 1.0},
+            weights_or_trees={"weights": [0.0] * dim, "bias": 0.0},
+        )
+        node = model
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc = main(["score", "--model", str(path),
+                   "--docs", f"{pipeline['fx']}/webpages.jsonl",
+                   "--out", str(tmp_path / "scores.csv"),
+                   "--manifest", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys.readouterr().err, f"error: {path}: {message}")
+
     def test_labelled_url_missing_from_docs_exits_1(self, tmp_path, capsys):
         write_corpus(tmp_path, n_docs=4, seed=3)
         labels = (tmp_path / "labels.csv").read_text()
@@ -632,6 +678,9 @@ def test_stages_that_never_filter_run_no_language_detection(
         ("svm", "[1]", "non-empty list"),
         ("svm", '{"C": ["x"]}', "C must be a number, got 'x'"),
         ("rf", '{"n_estimators": [2.5]}', "n_estimators must be an integer, got 2.5"),
+        ("svm", '{"C": [1.0], "c": [1, 2]}',
+         "svm has no parameter 'c' (expected one of C, gamma)"),
+        ("rf", '{"C": [1.0]}', "rf has no parameter 'C' (expected one of n_estimators)"),
     ],
 )
 def test_invalid_grid_exits_1(pipeline, tmp_path, capsys, family, grid, message):
@@ -726,14 +775,34 @@ CSV_INPUTS = {
 }
 
 
+# A JSON number or integer standing alone, not inside a string or a longer
+# number, and an object member whose value is a string, number or literal.
+JSON_NUMBER = rb"(?<=[\[: ,])-?\d+(\.\d+)?([eE][-+]?\d+)?(?=[,\]} ]|$)"
+JSON_INTEGER = rb"(?<=[\[: ,])-?\d+(?=[,\]} ]|$)"
+JSON_MEMBER = rb'"(?:[^"\\]|\\.)*": *("(?:[^"\\]|\\.)*"|[-\w.+]+)(, *)?'
+
+# Each mutation that rewrites one match of a pattern in a line: the pattern
+# and the replacements to draw from.
+VALUE_MUTATIONS = {
+    "text": (rb"\d+(\.\d+)?", [b"seven"]),
+    "quoted": (JSON_NUMBER, [b'"seven"']),
+    "large": (JSON_INTEGER, [b"1000000", str(2**63).encode(), str(2**64).encode()]),
+    "delete": (JSON_MEMBER, [b""]),
+}
+CSV_MUTATIONS = ["truncate", "drop", "add", "text", "byte"]
+JSON_MUTATIONS = CSV_MUTATIONS + ["quoted", "large", "delete"]
+
+
 @st.composite
-def mutated(draw, data):
+def mutated(draw, data, kinds=CSV_MUTATIONS):
     """``data`` with one line truncated, a field dropped or added, a number
-    swapped for text, or a non-UTF-8 byte injected."""
+    swapped for text, or a non-UTF-8 byte injected; with JSON_MUTATIONS
+    also a JSON number swapped for a string or, if an integer, for a large
+    one, or an object member deleted."""
     lines = data.split(b"\n")
     i = draw(st.integers(0, len(lines) - 1))
     line = lines[i]
-    kind = draw(st.sampled_from(["truncate", "drop", "add", "text", "byte"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         line = line[: draw(st.integers(0, len(line)))]
     elif kind == "drop":
@@ -742,11 +811,13 @@ def mutated(draw, data):
         line = b",".join(fields)
     elif kind == "add":
         line += b"," + draw(st.sampled_from([b"", b"1", b"x", b'"q"']))
-    elif kind == "text":
-        numbers = list(re.finditer(rb"\d+(\.\d+)?", line))
-        if numbers:
-            m = draw(st.sampled_from(numbers))
-            line = line[: m.start()] + b"seven" + line[m.end() :]
+    elif kind in VALUE_MUTATIONS:
+        pattern, replacements = VALUE_MUTATIONS[kind]
+        matches = list(re.finditer(pattern, line))
+        if matches:
+            m = draw(st.sampled_from(matches))
+            new = draw(st.sampled_from(replacements))
+            line = line[: m.start()] + new + line[m.end() :]
     else:
         at = draw(st.integers(0, len(line)))
         byte = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"]))
@@ -755,9 +826,9 @@ def mutated(draw, data):
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("name", sorted(CSV_INPUTS))
-def test_mutated_csv_input_exits_0_or_1_with_one_error_line(pipeline, tmp_path, name):
-    source, argv = CSV_INPUTS[name]
+def check_mutated_input(pipeline, tmp_path, name, source, argv, kinds):
+    """Run ``argv`` on mutations of the input ``name`` from the pipeline
+    directory ``source``: each exits 0, or 1 with one ``error:`` line."""
     data = (pipeline[source] / name).read_bytes()
     argv = [
         a.format(d=tmp_path, fx=pipeline["fx"], out=pipeline["out"]) for a in argv
@@ -765,7 +836,7 @@ def test_mutated_csv_input_exits_0_or_1_with_one_error_line(pipeline, tmp_path, 
 
     # One directory serves every example; each overwrites the same files.
     @settings(max_examples=25, deadline=None)
-    @given(bad=mutated(data))
+    @given(bad=mutated(data, kinds))
     def check(bad):
         (tmp_path / name).write_bytes(bad)
         err = io.StringIO()
@@ -778,3 +849,33 @@ def test_mutated_csv_input_exits_0_or_1_with_one_error_line(pipeline, tmp_path, 
             assert "Traceback" not in err.getvalue()
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(CSV_INPUTS))
+def test_mutated_csv_input_exits_0_or_1_with_one_error_line(pipeline, tmp_path, name):
+    source, argv = CSV_INPUTS[name]
+    check_mutated_input(pipeline, tmp_path, name, source, argv, CSV_MUTATIONS)
+
+
+# The JSON and plain-text inputs, in the form of CSV_INPUTS.
+OTHER_INPUTS = {
+    "webpages.jsonl": ("fx", ["ingest", "--webpages", "{d}/webpages.jsonl",
+                              "--min-words", "50", "--report", "{d}/report.json"]),
+    "tweets.jsonl": ("fx", ["exposure", "--tweets", "{d}/tweets.jsonl",
+                            "--scores", "{out}/scores.csv", "--out", "{d}/exposure.csv",
+                            "--report", "{d}/bucket_report.json"]),
+    "reference_urls.txt": ("fx", ["ingest", "--webpages", "{fx}/webpages.jsonl",
+                                  "--reference-urls", "{d}/reference_urls.txt",
+                                  "--min-words", "50", "--report", "{d}/report.json"]),
+    "model.json": ("out", ["score", "--model", "{d}/model.json",
+                           "--docs", "{fx}/webpages.jsonl", "--min-words", "50",
+                           "--out", "{d}/scores.csv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_INPUTS))
+def test_mutated_json_or_text_input_exits_0_or_1_with_one_error_line(
+    pipeline, tmp_path, name
+):
+    source, argv = OTHER_INPUTS[name]
+    check_mutated_input(pipeline, tmp_path, name, source, argv, JSON_MUTATIONS)

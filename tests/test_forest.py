@@ -214,6 +214,34 @@ class TestSerialization:
         assert data["params"]["min_impurity_split"] == 1e-7
         assert len(data["trees"]) == 2
 
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            ([0, -1, -1], [2, -1, -1], "node 0 has left child 0"),
+            ([1, -1, -1], [3, -1, -1], "node 0 has right child 3"),
+        ],
+    )
+    def test_a_child_that_could_loop_or_is_missing_is_rejected(
+        self, left, right, message
+    ):
+        """Children come after their node, so prediction ends at a leaf;
+        node 0 pointing at itself would loop for ever."""
+        data = {
+            "feature": [0, -1, -1],
+            "threshold": [0.5, 0.0, 0.0],
+            "left": left,
+            "right": right,
+            "count0": [1, 1, 0],
+            "count1": [1, 0, 1],
+        }
+        with pytest.raises(DataError, match=message):
+            Tree.from_dict(data)
+
+    def test_arrays_of_different_lengths_are_rejected(self):
+        data = leaf_tree(1, 0).to_dict() | {"threshold": [0.0, 0.0]}
+        with pytest.raises(DataError, match="one entry per node"):
+            Tree.from_dict(data)
+
 
 class TestTreeShape:
     def test_internal_nodes_have_two_children_and_leaves_have_samples(self):

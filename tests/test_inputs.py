@@ -1,9 +1,10 @@
-"""``errors.read_csv``, the one reader of every CSV input file."""
+"""``errors.read_csv``, the one reader of every CSV input file, and the
+checks on the numbers of a model file."""
 
 import pytest
 
 from webcred.credibility import read_scores_csv
-from webcred.errors import DataError, read_csv
+from webcred.errors import DataError, json_number, json_numbers, read_csv
 from webcred.eval import read_cv_report_csv
 
 HEADER = ("a", "b")
@@ -67,3 +68,29 @@ class TestReadCsv:
         scores.write_text("URL,c1,c2,c3,c4,c5,c6,c7,Score,Bucket\n"
                           "http://a.org/,1,1,1,0,0,0,0,3,medium\n")
         assert read_scores_csv(scores)["http://a.org/"].bucket == "medium"
+
+
+class TestJsonNumber:
+    @pytest.mark.parametrize(
+        "value, integer, expected",
+        [(3, True, 3), (3, False, 3.0), (-0.5, False, -0.5),
+         (2**64 - 1, True, 2**64 - 1)],
+    )
+    def test_numbers_are_returned(self, value, integer, expected):
+        result = json_number(value, "x", integer)
+        assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize(
+        "value, integer",
+        [("7", False), (True, False), (None, False), ([1], False),
+         (float("nan"), False), (float("inf"), False), (2**64, False),
+         (1.0, True), (2**64, True), (-(2**63) - 1, True)],
+    )
+    def test_anything_else_is_rejected(self, value, integer):
+        with pytest.raises(DataError, match="^x must be "):
+            json_number(value, "x", integer)
+
+    def test_a_list_beyond_int64_is_rejected(self):
+        assert json_numbers([1, 2], "x", integer=True).dtype == "int64"
+        with pytest.raises(DataError, match="x out of the int64 range"):
+            json_numbers([1, 2**63], "x", integer=True)

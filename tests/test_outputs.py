@@ -1,6 +1,7 @@
 """Every output goes through ``errors.open_output``: UTF-8, and replaced
 atomically, so a writer that fails leaves the previous file as it was.
-Every CSV input goes through ``errors.read_csv``."""
+Every CSV input goes through ``errors.read_csv``, and every CSV output
+through ``errors.write_csv``."""
 
 import ast
 import json
@@ -11,7 +12,7 @@ import pytest
 import webcred
 from webcred import cli
 from webcred.credibility import score_from_labels, write_scores_csv
-from webcred.errors import open_output, output_transaction
+from webcred.errors import open_output, output_transaction, write_csv
 
 PACKAGE = Path(webcred.__file__).resolve().parent
 
@@ -75,6 +76,18 @@ class TestOpenOutput:
             cli._write_json({"a": 1}, path)
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+class TestWriteCsv:
+    def test_writes_the_preamble_then_csv_with_crlf_and_minimal_quoting(
+        self, tmp_path
+    ):
+        path = tmp_path / "out.csv"
+        rows = [("caf\u00e9", 0.1, 7), ('x,"y"', 1e-05, -1)]
+        write_csv(path, ("a", "b", "c"), rows, preamble="# note\n")
+        assert path.read_bytes() == (
+            '# note\na,b,c\r\ncaf\u00e9,0.1,7\r\n"x,""y""",1e-05,-1\r\n'
+        ).encode("utf-8")
 
 
 class TestOutputTransaction:
@@ -174,9 +187,13 @@ def test_write_site_finder(source, found):
     assert bool(_write_sites(source, "x.py")) == found
 
 
-def _csv_reader_sites(source, filename):
-    """Each call of ``csv.reader`` or ``csv.DictReader`` in ``source``, and
-    each import of them from ``csv``."""
+CSV_READERS = ("reader", "DictReader")
+CSV_WRITERS = ("writer", "DictWriter")
+
+
+def _csv_sites(source, filename, names):
+    """Each call of ``csv.<name>`` in ``source`` for a name in ``names``, and
+    each import of one of them from ``csv``."""
     sites = []
     for node in ast.walk(ast.parse(source, filename)):
         if (
@@ -184,22 +201,25 @@ def _csv_reader_sites(source, filename):
             and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "csv"
-            and node.func.attr in ("reader", "DictReader")
+            and node.func.attr in names
         ):
             sites.append(f"{filename}:{node.lineno}: csv.{node.func.attr}()")
         elif isinstance(node, ast.ImportFrom) and node.module == "csv":
-            names = {alias.name for alias in node.names}
-            if names & {"reader", "DictReader", "*"}:
+            if {alias.name for alias in node.names} & {*names, "*"}:
                 sites.append(f"{filename}:{node.lineno}: from csv import")
     return sites
 
 
-def test_no_csv_input_bypasses_read_csv():
+def _package_csv_sites(names):
     sites = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path == PACKAGE / "errors.py":
-            continue
-        sites += _csv_reader_sites(path.read_text(encoding="utf-8"), path.name)
+        if path != PACKAGE / "errors.py":
+            sites += _csv_sites(path.read_text(encoding="utf-8"), path.name, names)
+    return sites
+
+
+def test_no_csv_input_bypasses_read_csv():
+    sites = _package_csv_sites(CSV_READERS)
     assert sites == [], "read CSV through errors.read_csv instead:\n" + "\n".join(
         sites
     )
@@ -218,4 +238,28 @@ def test_no_csv_input_bypasses_read_csv():
     ],
 )
 def test_csv_reader_site_finder(source, found):
-    assert bool(_csv_reader_sites(source, "x.py")) == found
+    assert bool(_csv_sites(source, "x.py", CSV_READERS)) == found
+
+
+def test_no_csv_output_bypasses_write_csv():
+    sites = _package_csv_sites(CSV_WRITERS)
+    assert sites == [], "write CSV through errors.write_csv instead:\n" + "\n".join(
+        sites
+    )
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("csv.writer(fh)", True),
+        ("csv.DictWriter(fh, fields)", True),
+        ("from csv import writer", True),
+        ("from csv import DictWriter as W", True),
+        ("from csv import *", True),
+        ("csv.reader(fh)", False),
+        ("from csv import reader", False),
+        ("write_csv(path, header, rows)", False),
+    ],
+)
+def test_csv_writer_site_finder(source, found):
+    assert bool(_csv_sites(source, "x.py", CSV_WRITERS)) == found
