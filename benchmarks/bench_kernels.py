@@ -2,27 +2,41 @@
 """Compare the compiled kernels against the pure-Python fallback.
 
 Times the two hot kernels (dual coordinate descent and best-split
-search) on synthetic data of adjustable size and checks that both
+search) on synthetic data of adjustable size and checks that the
 implementations agree on the result, so the benchmark doubles as a
-smoke test for the fallback path.  The compiled kernels are the shared
-library built from ``kernels.c`` (``python setup.py build_ext --inplace``);
-without it only the pure kernels are timed.
+smoke test for the fallback path.  The split search is also timed
+against the per-feature loop in ``tests/helpers.py`` that the pure
+kernel's blocked pass replaced, in three regimes: one large node, many
+small nodes, and nodes just large enough that the candidate features
+are scored in two blocks.  Each split must agree with the loop on
+feature, threshold (bit for bit) and score; any disagreement exits 1,
+which makes the script an exactness check at sizes the unit tests do
+not reach.  The compiled kernels are the shared library built from
+``kernels.c`` (``python setup.py build_ext --inplace``); without it
+only the pure kernels and the loop are timed.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--docs N] [--features D]
-                                        [--node-rows N] [--repeats R]
+                                        [--node-rows N] [--node-features K]
+                                        [--repeats R]
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from webcred._kernels import LIBRARY, pure
 from webcred._kernels.compiled import load
 from webcred.rng import SplitMix64
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from helpers import node_best_split_oracle  # noqa: E402
 
 compiled = load(LIBRARY) if LIBRARY.exists() else None
 
@@ -75,6 +89,36 @@ def time_call(fn, *args, repeats: int) -> tuple[float, object]:
     return best, result
 
 
+def split_key(split) -> tuple:
+    feature, threshold, score = split
+    return feature, float(threshold).hex(), score
+
+
+def time_splits(title: str, calls: list[tuple], repeats: int) -> bool:
+    """Time every implementation on the same node calls; True when all
+    agree with the per-feature loop on every call."""
+    print(title)
+    impls = [("pure", pure.node_best_split)]
+    if compiled is not None:
+        impls.append(("compiled", compiled.node_best_split))
+
+    def run(fn):
+        return [split_key(fn(*call)) for call in calls]
+
+    agree = True
+    t_loop, want = time_call(run, node_best_split_oracle, repeats=repeats)
+    print(f"  loop      {t_loop:8.3f} s")
+    for name, fn in impls:
+        t, got = time_call(run, fn, repeats=repeats)
+        mismatches = sum(g != w for g, w in zip(got, want))
+        print(f"  {name:9s} {t:8.3f} s  ({t_loop / t:5.1f}x the loop, "
+              f"{mismatches} of {len(calls)} splits differ)")
+        agree = agree and mismatches == 0
+    if not agree:
+        print("  WARNING: implementations disagree")
+    return agree
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--docs", type=int, default=1500)
@@ -110,45 +154,46 @@ def main() -> int:
             print("  WARNING: implementations disagree")
             return 1
 
-    print(f"node_best_split: {args.node_rows} rows, {args.node_features} features")
     X, rows, feats, y = make_node_problem(args.node_rows, args.node_features,
                                           args.seed + 1)
-    t_pure, split_pure = time_call(pure.node_best_split, X, rows, feats, y,
-                                   repeats=args.repeats)
-    print(f"  pure      {t_pure:8.3f} s  -> {split_pure}")
-    if compiled is not None:
-        t_fast, split_fast = time_call(compiled.node_best_split, X, rows, feats, y,
-                                       repeats=args.repeats)
-        print(f"  compiled  {t_fast:8.3f} s  -> {split_fast}")
-        print(f"  speedup   {t_pure / t_fast:8.1f}x")
-        if split_pure != split_fast:
-            print("  WARNING: implementations disagree")
-            return 1
+    agree = time_splits(
+        f"node_best_split, large node: {args.node_rows} rows, "
+        f"{args.node_features} features",
+        [(X, rows, feats, y)],
+        args.repeats,
+    )
 
     # Deep trees spend most of their time on small nodes, where per-call
     # overhead dominates; benchmark that regime separately.
-    n_small = 64
-    calls = 2000
-    print(f"node_best_split, small-node regime: {calls} calls on "
-          f"{n_small}-row nodes")
+    n_small, n_calls = 64, 2000
+    small = [
+        (X, rows[(k * 17) % (args.node_rows - n_small):][:n_small].copy(), feats, y)
+        for k in range(n_calls)
+    ]
+    agree &= time_splits(
+        f"node_best_split, small nodes: {n_calls} calls on {n_small}-row nodes",
+        small,
+        args.repeats,
+    )
 
-    def run_small(impl):
-        best = None
-        for k in range(calls):
-            r = rows[(k * 17) % (args.node_rows - n_small):][:n_small]
-            best = impl.node_best_split(X, np.ascontiguousarray(r), feats, y)
-        return best
-
-    t_pure, small_pure = time_call(run_small, pure, repeats=args.repeats)
-    print(f"  pure      {t_pure:8.3f} s")
-    if compiled is not None:
-        t_fast, small_fast = time_call(run_small, compiled, repeats=args.repeats)
-        print(f"  compiled  {t_fast:8.3f} s")
-        print(f"  speedup   {t_pure / t_fast:8.1f}x")
-        if small_pure != small_fast:
-            print("  WARNING: implementations disagree")
-            return 1
-    return 0
+    # One row more than a single block holds, drawn with replacement as in
+    # a bootstrap, on values rounded to one decimal: the features are
+    # scored in two blocks, and equal scores across the block boundary are
+    # common.
+    n_cross = pure._BLOCK_ELEMENTS // args.node_features + 1
+    Xr = np.round(X, 1)
+    draws = SplitMix64(args.seed + 2)
+    crossing = []
+    for _ in range(50):
+        boot = draws.next_u64_array(n_cross) % np.uint64(args.node_rows)
+        crossing.append((Xr, boot.astype(np.int32), feats, y))
+    agree &= time_splits(
+        f"node_best_split, block-crossing: 50 calls on {n_cross}-row nodes "
+        f"({n_cross * args.node_features} values)",
+        crossing,
+        args.repeats,
+    )
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

@@ -106,32 +106,50 @@ def _primal(indptr, indices, data, y, w, wb, C):
     return float(0.5 * (w @ w + wb * wb) + C * hinge)
 
 
+# Candidate features are scored in blocks of at most this many node values
+# (``_BLOCK_ELEMENTS // m`` features of an m-row node), which keeps each
+# block's sort and Gini arrays small enough to stay in cache.
+_BLOCK_ELEMENTS = 2**14
+
+
 def node_best_split(
     X: np.ndarray, rows: np.ndarray, feats: np.ndarray, y: np.ndarray
 ) -> tuple[int, float, float]:
     """Best Gini split of a tree node over the candidate features.
 
-    Scans ``feats`` in order; for each feature sorts the node's values and
-    evaluates every boundary between distinct consecutive values, choosing
-    the split with the smallest (n_left*gini_left + n_right*gini_right)/n.
-    Ties keep the earlier candidate (first feature, then smallest
-    threshold).  Returns (feature, threshold, weighted_gini), or
-    (-1, 0.0, inf) when no feature admits a valid split.
+    Evaluates every boundary between distinct consecutive sorted values of
+    each feature in ``feats``, choosing the split with the smallest
+    (n_left*gini_left + n_right*gini_right)/n.  Ties keep the earlier
+    candidate (first feature, then smallest threshold).  Returns
+    (feature, threshold, weighted_gini), or (-1, 0.0, inf) when no feature
+    admits a valid split.
+
+    The features are scored a block at a time, each block laid out
+    feature-major (features x rows): one stable row-wise argsort and
+    cumsum give the class-1 count left of every position of every feature
+    in the block, ``np.nonzero`` lists the boundaries in (feature,
+    position) order, and ``argmin`` over their scores picks the first
+    feature, then the smallest threshold.  A later block wins only with a
+    strictly smaller score.
     """
     m = len(rows)
+    best_feat, best_thr, best_score = -1, 0.0, np.inf
+    if m < 2:  # no boundary, and an empty node has no block size
+        return best_feat, best_thr, best_score
     labels = y[rows].astype(np.int64)
     total1 = int(labels.sum())
-    best_feat, best_thr, best_score = -1, 0.0, np.inf
-    for f in feats:
-        col = X[rows, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        cum1 = np.cumsum(labels[order])
-        boundaries = np.nonzero(v[:-1] != v[1:])[0]
+    block_size = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, len(feats), block_size):
+        block = feats[start : start + block_size]
+        values = X.T[block[:, None], rows]
+        order = np.argsort(values, axis=1, kind="stable")
+        v = np.take_along_axis(values, order, axis=1)
+        cum1 = np.cumsum(labels[order], axis=1)
+        feat_at, boundaries = np.nonzero(v[:, :-1] != v[:, 1:])
         if boundaries.size == 0:
             continue
         n_left = boundaries + 1
-        c1_left = cum1[boundaries]
+        c1_left = cum1[feat_at, boundaries]
         c0_left = n_left - c1_left
         n_right = m - n_left
         c1_right = total1 - c1_left
@@ -145,9 +163,11 @@ def node_best_split(
         weighted = (n_left * gini_left + n_right * gini_right) / m
         j = int(np.argmin(weighted))
         if weighted[j] < best_score:
-            i = boundaries[j]
-            thr = (v[i] + v[i + 1]) / 2.0
-            if thr == v[i + 1]:
-                thr = v[i]
-            best_feat, best_thr, best_score = int(f), float(thr), float(weighted[j])
+            f, i = feat_at[j], boundaries[j]
+            thr = (v[f, i] + v[f, i + 1]) / 2.0
+            if thr == v[f, i + 1]:
+                thr = v[f, i]
+            best_feat, best_thr, best_score = (
+                int(block[f]), float(thr), float(weighted[j])
+            )
     return best_feat, best_thr, best_score

@@ -63,11 +63,8 @@ def _write_json(payload: dict, path: str | Path) -> None:
 
 
 def _load_docs(path: str | Path) -> dict[str, ingest.WebDocument]:
-    docs: dict[str, ingest.WebDocument] = {}
     with open_input(path) as fh:
-        for doc in ingest.load_webpages(fh):
-            docs[doc.url] = doc
-    return docs
+        return {doc.url: doc for doc in ingest.load_webpages(fh)}
 
 
 def _load_tweets(path: str | Path) -> tuple[list[ingest.TweetRecord], int]:

@@ -178,7 +178,8 @@ def _build_tree(
 ) -> Tree:
     n, n_features = X.shape
     rng = SplitMix64(tree_seed)
-    boot = np.array([rng.randbelow(n) for _ in range(n)], dtype=np.int32)
+    # n draws of randbelow(n), taken at once.
+    boot = (rng.next_u64_array(n) % np.uint64(n)).astype(np.int32)
     n_sub = max(1, math.isqrt(n_features))
 
     feature: list[int] = []

@@ -160,22 +160,24 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[list[TweetRecord], int
     """Parse line-delimited tweet records; returns (records, skipped count).
 
     Each URL is normalized on the way in, so it matches the keys of the
-    scored documents.  Malformed lines (bad JSON, missing/mistyped fields,
-    an empty URL, invariant violations) are skipped and counted.  Raises
-    CorruptInputError when more than half of the non-blank lines are
-    malformed.
+    scored documents; a URL repeated across tweets is normalized once, and
+    its records share the one normalized string.  Malformed lines (bad
+    JSON, missing/mistyped fields, an empty URL, invariant violations) are
+    skipped and counted.  Raises CorruptInputError when more than half of
+    the non-blank lines are malformed.
     """
     records: list[TweetRecord] = []
     skipped = 0
     total = 0
     seen_ids: set[str] = set()
+    normalized: dict[str, str] = {}
     for line in stream:
         line = line.strip()
         if not line:
             continue
         total += 1
         try:
-            records.append(_tweet_from_json(line, seen_ids))
+            records.append(_tweet_from_json(line, seen_ids, normalized))
         except (json.JSONDecodeError, DataError, KeyError, TypeError, ValueError):
             skipped += 1
     if total and skipped * 2 > total:
@@ -183,7 +185,11 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[list[TweetRecord], int
     return records, skipped
 
 
-def _tweet_from_json(line: str, seen_ids: set[str]) -> TweetRecord:
+def _tweet_from_json(
+    line: str, seen_ids: set[str], normalized: dict[str, str]
+) -> TweetRecord:
+    """One tweet record; ``normalized`` maps each raw URL seen so far to its
+    normalized form and gains the URLs of this line."""
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise DataError("tweet record is not an object")
@@ -196,11 +202,14 @@ def _tweet_from_json(line: str, seen_ids: set[str]) -> TweetRecord:
     urls = obj["urls"]
     if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
         raise DataError("urls must be a list of strings")
+    for raw in urls:
+        if raw not in normalized:
+            normalized[raw] = normalize_url(raw)
     record = TweetRecord(
         tweet_id=tweet_id,
         user_id=str(obj["user_id"]),
         follower_count=follower_count,
-        urls=tuple(normalize_url(u) for u in urls),
+        urls=tuple(normalized[u] for u in urls),
         is_retweet=bool(obj["is_retweet"]),
         retweet_of=None if obj.get("retweet_of") is None else str(obj["retweet_of"]),
         timestamp=_parse_timestamp(obj["timestamp"]),
@@ -224,10 +233,12 @@ def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
 
     ``word_count`` and ``language`` are always recomputed from the text
     (``language`` when first read).
-    A malformed line raises DataError naming the stream (its ``name``, as
-    for an open file) and the line number.
+    A malformed line, or a URL that normalizes to the URL of an earlier
+    line, raises DataError naming the stream (its ``name``, as for an open
+    file) and the line number.
     """
     source = getattr(stream, "name", "<webpages>")
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -249,6 +260,12 @@ def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
             url = normalize_url(obj["url"])
         except DataError as exc:
             raise DataError(f"{source}:{lineno}: {exc}") from None
+        if url in first_line:
+            raise DataError(
+                f"{source}:{lineno}: duplicate url {url} "
+                f"(first on line {first_line[url]})"
+            )
+        first_line[url] = lineno
         yield WebDocument(url=url, text=obj["text"])
 
 

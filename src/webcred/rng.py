@@ -54,25 +54,34 @@ class SplitMix64:
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap
-        items[i] with items[randbelow(i + 1)].
+    def next_u64_array(self, k: int) -> np.ndarray:
+        """The next ``k`` draws of :meth:`next_u64` as a uint64 array.
 
-        The n-1 draws are computed at once with wrapping uint64 arithmetic
-        (draw k mixes state + k*GOLDEN); only the swaps stay in Python.
+        Computed at once with wrapping uint64 arithmetic (draw j mixes
+        state + j*GOLDEN); the state advances past all ``k`` draws.
         """
-        n = len(items)
-        if n < 2:
-            return
-        x = np.arange(1, n, dtype=np.uint64) * np.uint64(_GOLDEN)
+        x = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         x += np.uint64(self._state)
         x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x ^= x >> np.uint64(31)
-        picks = (x % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        self._state = (self._state + k * _GOLDEN) & _MASK64
+        return x
+
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap
+        items[i] with items[randbelow(i + 1)].
+
+        The n-1 draws come from one :meth:`next_u64_array` call; only the
+        swaps stay in Python.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        draws = self.next_u64_array(n - 1)
+        picks = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
-        self._state = (self._state + (n - 1) * _GOLDEN) & _MASK64
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct integers from [0, n), in draw order."""

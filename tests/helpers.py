@@ -2,10 +2,10 @@
 
 Everything here is deliberately independent of the library internals it
 is used to check: the dense TF-IDF oracle works on plain lists, and the
-marker corpus is built with the stdlib random module.  The clean-text and
-dedupe oracles are the straightforward loops the library replaced with
-faster equivalents; the dedupe oracle shares only the library's shingle
-and Jaccard helpers.
+marker corpus is built with the stdlib random module.  The clean-text,
+dedupe and split oracles are the straightforward loops the library
+replaced with faster equivalents; the dedupe oracle shares only the
+library's shingle and Jaccard helpers.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 import re
+
+import numpy as np
 
 from webcred.errors import DataError
 from webcred.ingest import WebDocument, _shingles, jaccard
@@ -138,3 +140,42 @@ def dedupe_oracle(docs, jaccard_threshold):
             kept.append(doc)
             kept_shingles.append(sh)
     return sorted(kept, key=lambda d: d.url)
+
+
+def node_best_split_oracle(X, rows, feats, y):
+    """The per-feature loop that ``_kernels.pure.node_best_split`` replaced
+    with a blocked pass over all candidate features, kept verbatim as the
+    reference: one sort, cumsum and Gini evaluation per feature."""
+    m = len(rows)
+    labels = y[rows].astype(np.int64)
+    total1 = int(labels.sum())
+    best_feat, best_thr, best_score = -1, 0.0, np.inf
+    for f in feats:
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        cum1 = np.cumsum(labels[order])
+        boundaries = np.nonzero(v[:-1] != v[1:])[0]
+        if boundaries.size == 0:
+            continue
+        n_left = boundaries + 1
+        c1_left = cum1[boundaries]
+        c0_left = n_left - c1_left
+        n_right = m - n_left
+        c1_right = total1 - c1_left
+        c0_right = n_right - c1_right
+        # Explicit p*p (not **2) so kernels.c can reproduce the
+        # exact same float64 operations.
+        p0l, p1l = c0_left / n_left, c1_left / n_left
+        p0r, p1r = c0_right / n_right, c1_right / n_right
+        gini_left = 1.0 - p0l * p0l - p1l * p1l
+        gini_right = 1.0 - p0r * p0r - p1r * p1r
+        weighted = (n_left * gini_left + n_right * gini_right) / m
+        j = int(np.argmin(weighted))
+        if weighted[j] < best_score:
+            i = boundaries[j]
+            thr = (v[i] + v[i + 1]) / 2.0
+            if thr == v[i + 1]:
+                thr = v[i]
+            best_feat, best_thr, best_score = int(f), float(thr), float(weighted[j])
+    return best_feat, best_thr, best_score

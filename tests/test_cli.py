@@ -415,6 +415,8 @@ class TestExitCodes:
             ('{"url": null, "text": "words"}',
              "webpages.jsonl:2: 'url' is not a string"),
             ('{"url": "", "text": "words"}', "webpages.jsonl:2: empty URL"),
+            ('{"url": "HTTP://A.example.org", "text": "words"}',
+             "webpages.jsonl:2: duplicate url http://a.example.org/ (first on line 1)"),
         ],
     )
     def test_malformed_webpage_line_exits_1(self, tmp_path, capsys, bad_line, message):

@@ -148,6 +148,28 @@ class TestParseTweets:
         assert skipped == 0
         assert records[0].urls == ("http://a.org/?id=3", "http://b.org/p")
 
+    def test_each_distinct_url_is_normalized_once(self, monkeypatch):
+        raws = ["HTTP://A.ORG?utm_source=x&id=3#top", "http://a.org/?id=3",
+                "http://B.org", "http://b.org/#frag", "http://[bad", "x"]
+        rng = random.Random(4)
+        lines = [
+            self.make_line(f"t{i}", urls=rng.choices(raws, k=rng.randint(0, 4)))
+            for i in range(200)
+        ]
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return normalize_url(raw)
+
+        monkeypatch.setattr(ingest, "normalize_url", counting)
+        records, skipped = parse_tweets(lines)
+        assert skipped == 0
+        assert [r.urls for r in records] == [
+            tuple(normalize_url(u) for u in json.loads(line)["urls"]) for line in lines
+        ]
+        assert sorted(calls) == sorted(raws)
+
     def test_empty_url_line_is_skipped(self):
         records, skipped = parse_tweets(
             [self.make_line("t1", urls=[""]), self.make_line("t2"),

@@ -5,7 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import node_best_split_oracle
 from webcred import _kernels
 from webcred._kernels import pure
 
@@ -98,6 +100,73 @@ class TestSplitEquivalence:
         expected = (-1, 0.0, float("inf"))
         assert pure.node_best_split(X, rows, feats, y) == expected
         assert compiled_kernels.node_best_split(X, rows, feats, y) == expected
+
+
+# Column kinds: small integers, values rounded to one decimal and mostly
+# zero columns all give many equal values, so many positions are not
+# boundaries; a copy of an earlier column ties it on every split (a first
+# column has none to copy and is constant).
+COLUMN_KINDS = ["integer", "rounded", "sparse", "uniform", "copy"]
+
+
+@st.composite
+def split_problems(draw, node_rows=st.integers(0, 40), min_feats=0, max_feats=10):
+    n = draw(st.integers(1, 60))
+    n_cols = draw(st.integers(max(1, min_feats), max_feats))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((n, n_cols))
+    for j in range(n_cols):
+        kind = draw(st.sampled_from(COLUMN_KINDS))
+        if kind == "integer":
+            X[:, j] = rng.integers(0, 4, n)
+        elif kind == "rounded":
+            X[:, j] = np.round(rng.random(n), 1)
+        elif kind == "sparse":
+            X[:, j] = np.where(rng.random(n) < 0.85, 0.0, rng.random(n))
+        elif kind == "uniform":
+            X[:, j] = rng.random(n)
+        else:
+            X[:, j] = X[:, rng.integers(0, j)] if j else 0.0
+    # Rows are drawn with replacement, as in a bootstrap sample.
+    rows = rng.integers(0, n, draw(node_rows)).astype(np.int32)
+    k = draw(st.integers(min_feats, n_cols))
+    feats = rng.permutation(n_cols)[:k].astype(np.int32)
+    y = rng.integers(0, 2, n).astype(np.int8)
+    return X, rows, feats, y
+
+
+def split_key(split):
+    feature, threshold, score = split
+    return feature, float(threshold).hex(), score
+
+
+class TestSplitOracle:
+    """The blocked pass returns exactly what the per-feature loop returns."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        problem=split_problems(
+            node_rows=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 40))
+        )
+    )
+    def test_matches_the_per_feature_loop(self, problem):
+        assert split_key(pure.node_best_split(*problem)) == split_key(
+            node_best_split_oracle(*problem)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        problem=split_problems(
+            node_rows=st.integers(2100, 3000), min_feats=8, max_feats=16
+        )
+    )
+    def test_matches_across_several_blocks(self, problem):
+        _X, rows, feats, _y = problem
+        # At least 2100 * 8 values: more than one block of features.
+        assert len(rows) * len(feats) > pure._BLOCK_ELEMENTS
+        assert split_key(pure.node_best_split(*problem)) == split_key(
+            node_best_split_oracle(*problem)
+        )
 
 
 class TestSvmEquivalence:

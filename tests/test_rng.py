@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from webcred.rng import SplitMix64, mix64, stream_seed
@@ -62,6 +63,21 @@ def test_shuffle_matches_sequential_fisher_yates(n):
                 want[i], want[j] = want[j], want[i]
             assert got == want
         # Equal states give equal next draws.
+        assert rng.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("n", [1, 2, 54, 108, 1000])
+def test_bulk_draws_match_sequential_randbelow(n):
+    # The forest's bootstrap: n draws of randbelow(n) taken at once.
+    for seed in (0, 11, 2**64 - 1):
+        rng = SplitMix64(seed)
+        reference = SplitMix64(seed)
+        for _ in range(3):
+            draws = rng.next_u64_array(n)
+            assert draws.dtype == np.uint64
+            assert (draws % np.uint64(n)).tolist() == [
+                reference.randbelow(n) for _ in range(n)
+            ]
         assert rng.next_u64() == reference.next_u64()
 
 
