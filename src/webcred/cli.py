@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, _kernels, credibility, eval as evalmod, exposure, graph
 from . import ingest, models, stats, textprep
@@ -143,10 +144,7 @@ def _cmd_cv(args) -> None:
         token_docs,
         labels_by_criterion,
         families=families,
-        params_by_family={
-            "svm": {"C": args.svm_c},
-            "rf": {"n_estimators": args.rf_estimators},
-        },
+        params_by_family=_model_params(args),
         k=args.folds,
         seed=args.seed,
     )
@@ -160,7 +158,7 @@ def _cmd_train(args) -> None:
     vocab = build_vocabulary(token_docs)
     tfidf = fit_tfidf(token_docs, vocab)
     X = [transform(tokens, tfidf) for tokens in token_docs]
-    params = {"svm": {"C": args.svm_c}, "rf": {"n_estimators": args.rf_estimators}}
+    params = _model_params(args)
     trained = {}
     for criterion, family in chosen.items():
         trained[(criterion, family)] = models.train_model(
@@ -267,7 +265,7 @@ def _cmd_terms(args) -> None:
     low = [t for u, t in zip(urls, token_docs) if scored[u].bucket == "low"]
     other = [t for u, t in zip(urls, token_docs) if scored[u].bucket != "low"]
     vocab = build_vocabulary(token_docs, min_df=args.min_df)
-    ranked = stats.term_significance(low, other, vocab)
+    ranked = stats.term_significance(low, other, vocab.terms)
     stats.write_terms_csv(ranked, args.out)
 
 
@@ -303,36 +301,53 @@ def _cmd_graph(args) -> None:
                 fh.write(graph.export_graph(network, fmt))
 
 
-# Each subcommand's handler, then the arguments naming its input files and
-# its output files, in the order the run manifest records them.  An
-# argument left unset (an optional input or output) is not recorded.
+REQUIRED = object()  # the default of a file argument that must be given
+
+
+class Stage(NamedTuple):
+    """A subcommand: its handler and help line, then its input and output
+    files, each as ``name: default``, in the order the run manifest records
+    them.  File ``name`` is the option ``--name`` (with ``_`` as ``-``); one
+    left unset (an optional input or output) is not recorded."""
+
+    handler: Callable[[argparse.Namespace], None]
+    help: str
+    inputs: dict[str, object]
+    outputs: dict[str, object]
+
+
 STAGES = {
-    "ingest": (_cmd_ingest, ("webpages", "tweets", "reference_urls"), ("report",)),
-    "cv": (_cmd_cv, ("docs", "labels"), ("out",)),
-    "train": (_cmd_train, ("docs", "labels", "cv_report"), ("out",)),
-    "grid": (_cmd_grid, ("docs", "labels"), ("out",)),
-    "score": (_cmd_score, ("model", "docs"), ("out",)),
-    "evaluate": (_cmd_evaluate, ("model", "docs", "labels"), ("out", "distribution")),
-    "kappa": (_cmd_kappa, ("ratings",), ("out",)),
-    "terms": (_cmd_terms, ("docs", "scores"), ("out",)),
-    "exposure": (_cmd_exposure, ("tweets", "scores"), ("out", "report")),
-    "graph": (_cmd_graph, ("tweets", "scores", "followers"), ("graphml", "dot")),
+    "ingest": Stage(_cmd_ingest, "filter the webpage corpus",
+                    {"webpages": REQUIRED, "tweets": None, "reference_urls": None},
+                    {"report": "filter_report.json"}),
+    "cv": Stage(_cmd_cv, "cross-validate both model families",
+                {"docs": REQUIRED, "labels": REQUIRED}, {"out": "cv_report.csv"}),
+    "train": Stage(_cmd_train, "train the per-criterion ensemble",
+                   {"docs": REQUIRED, "labels": REQUIRED, "cv_report": REQUIRED},
+                   {"out": "model.json"}),
+    "grid": Stage(_cmd_grid, "hyperparameter grid search",
+                  {"docs": REQUIRED, "labels": REQUIRED}, {"out": "grid_report.csv"}),
+    "score": Stage(_cmd_score, "score filtered documents",
+                   {"model": REQUIRED, "docs": REQUIRED}, {"out": "scores.csv"}),
+    "evaluate": Stage(_cmd_evaluate, "3-class evaluation on labels",
+                      {"model": REQUIRED, "docs": REQUIRED, "labels": REQUIRED},
+                      {"out": "evaluation.json",
+                       "distribution": "label_distribution.csv"}),
+    "kappa": Stage(_cmd_kappa, "rater agreement from a ratings file",
+                   {"ratings": REQUIRED}, {"out": "kappa.json"}),
+    "terms": Stage(_cmd_terms, "term significance for low bucket",
+                   {"docs": REQUIRED, "scores": REQUIRED}, {"out": "terms.csv"}),
+    "exposure": Stage(_cmd_exposure, "share counts and exposure sums",
+                      {"tweets": REQUIRED, "scores": REQUIRED},
+                      {"out": "exposure.csv", "report": "bucket_report.json"}),
+    "graph": Stage(_cmd_graph, "follower network construction",
+                   {"tweets": REQUIRED, "scores": REQUIRED, "followers": REQUIRED},
+                   {"graphml": None, "dot": None}),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
-    sub.add_argument(
-        "--manifest",
-        default=None,
-        help="run-manifest path (default: <subcommand>_manifest.json)",
-    )
-
-
 def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--min-words", type=int, default=ingest.DEFAULT_MIN_WORDS, dest="min_words"
-    )
+    sub.add_argument("--min-words", type=int, default=ingest.DEFAULT_MIN_WORDS)
     sub.add_argument(
         "--jaccard", type=float, default=ingest.DEFAULT_JACCARD,
         help="near-duplicate similarity threshold",
@@ -341,10 +356,12 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_model_params(sub: argparse.ArgumentParser) -> None:
     svm, rf = models.DEFAULT_PARAMS["svm"], models.DEFAULT_PARAMS["rf"]
-    sub.add_argument("--svm-c", type=float, default=svm["C"], dest="svm_c")
-    sub.add_argument(
-        "--rf-estimators", type=int, default=rf["n_estimators"], dest="rf_estimators"
-    )
+    sub.add_argument("--svm-c", type=float, default=svm["C"])
+    sub.add_argument("--rf-estimators", type=int, default=rf["n_estimators"])
+
+
+def _model_params(args: argparse.Namespace) -> dict[str, dict]:
+    return {"svm": {"C": args.svm_c}, "rf": {"n_estimators": args.rf_estimators}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,87 +371,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    for name, stage in STAGES.items():
+        p = sub[name] = commands.add_parser(name, help=stage.help)
+        for dest, default in (*stage.inputs.items(), *stage.outputs.items()):
+            flag = "--" + dest.replace("_", "-")
+            if default is REQUIRED:
+                p.add_argument(flag, required=True)
+            else:
+                p.add_argument(flag, default=default)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
+        p.add_argument(
+            "--manifest",
+            default=None,
+            help="run-manifest path (default: <subcommand>_manifest.json)",
+        )
 
-    p = commands.add_parser("ingest", help="filter the webpage corpus")
-    p.add_argument("--webpages", required=True)
-    p.add_argument("--tweets", default=None)
-    p.add_argument("--reference-urls", default=None, dest="reference_urls")
-    p.add_argument("--report", default="filter_report.json")
-    _add_filter_flags(p)
-    _add_common(p)
-
-    p = commands.add_parser("cv", help="cross-validate both model families")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", default="cv_report.csv")
-    p.add_argument("--folds", type=int, default=evalmod.DEFAULT_FOLDS)
-    p.add_argument("--families", default="svm,rf")
-    _add_model_params(p)
-    _add_common(p)
-
-    p = commands.add_parser("train", help="train the per-criterion ensemble")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--cv-report", required=True, dest="cv_report")
-    p.add_argument("--out", default="model.json")
-    _add_model_params(p)
-    _add_common(p)
-
-    p = commands.add_parser("grid", help="hyperparameter grid search")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--criterion", type=int, required=True)
-    p.add_argument("--family", required=True, choices=models.FAMILIES)
-    p.add_argument("--grid", default=None, help="JSON grid, e.g. '{\"C\": [1, 10]}'")
-    p.add_argument("--folds", type=int, default=evalmod.DEFAULT_FOLDS)
-    p.add_argument("--out", default="grid_report.csv")
-    _add_common(p)
-
-    p = commands.add_parser("score", help="score filtered documents")
-    p.add_argument("--model", required=True)
-    p.add_argument("--docs", required=True)
-    p.add_argument("--out", default="scores.csv")
-    _add_filter_flags(p)
-    _add_common(p)
-
-    p = commands.add_parser("evaluate", help="3-class evaluation on labels")
-    p.add_argument("--model", required=True)
-    p.add_argument("--docs", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", default="evaluation.json")
-    p.add_argument("--distribution", default="label_distribution.csv")
-    _add_common(p)
-
-    p = commands.add_parser("kappa", help="rater agreement from a ratings file")
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--out", default="kappa.json")
-    _add_common(p)
-
-    p = commands.add_parser("terms", help="term significance for low bucket")
-    p.add_argument("--docs", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--out", default="terms.csv")
-    p.add_argument("--min-df", type=int, default=textprep.DEFAULT_MIN_DF, dest="min_df")
-    _add_common(p)
-
-    p = commands.add_parser("exposure", help="share counts and exposure sums")
-    p.add_argument("--tweets", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--out", default="exposure.csv")
-    p.add_argument("--report", default="bucket_report.json")
-    p.add_argument("--top", type=int, default=100)
-    _add_common(p)
-
-    p = commands.add_parser("graph", help="follower network construction")
-    p.add_argument("--tweets", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--followers", required=True)
-    p.add_argument("--graphml", default=None)
-    p.add_argument("--dot", default=None)
-    p.add_argument(
-        "--min-links", type=int, default=graph.DEFAULT_MIN_LINKS, dest="min_links"
+    for name in ("ingest", "score"):
+        _add_filter_flags(sub[name])
+    for name in ("cv", "train"):
+        _add_model_params(sub[name])
+    for name in ("cv", "grid"):
+        sub[name].add_argument("--folds", type=int, default=evalmod.DEFAULT_FOLDS)
+    sub["cv"].add_argument("--families", default="svm,rf")
+    sub["grid"].add_argument("--criterion", type=int, required=True)
+    sub["grid"].add_argument("--family", required=True, choices=models.FAMILIES)
+    sub["grid"].add_argument(
+        "--grid", default=None, help="JSON grid, e.g. '{\"C\": [1, 10]}'"
     )
-    _add_common(p)
+    sub["terms"].add_argument("--min-df", type=int, default=textprep.DEFAULT_MIN_DF)
+    sub["exposure"].add_argument("--top", type=int, default=100)
+    sub["graph"].add_argument("--min-links", type=int, default=graph.DEFAULT_MIN_LINKS)
     return parser
 
 
@@ -447,13 +414,13 @@ def main(argv: list[str] | None = None) -> int:
         if k not in ("command", "manifest")
     }
     manifest = RunManifest(args.command, config)
-    handler, inputs, outputs = STAGES[args.command]
+    stage = STAGES[args.command]
     try:
-        for name in inputs:
+        for name in stage.inputs:
             manifest.record_input(getattr(args, name))
         with output_transaction():
-            handler(args)
-        for name in outputs:
+            stage.handler(args)
+        for name in stage.outputs:
             manifest.record_output(getattr(args, name))
         _write_json(manifest.data, args.manifest or f"{args.command}_manifest.json")
     except (DataError, OSError) as exc:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,8 +9,6 @@ from .errors import DataError
 from .forest import ForestModel, train_random_forest
 from .svm import SvmModel, train_linear_svm
 from .textprep import SparseVector
-
-logger = logging.getLogger(__name__)
 
 FAMILIES = ("svm", "rf")
 
@@ -26,9 +22,8 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "rf": {"n_estimators": 10},
 }
 
-# The parameters a grid may vary per family; train_model ignores svm's
-# gamma with a warning.
-GRID_PARAMS = {"svm": ("C", "gamma"), "rf": ("n_estimators",)}
+# The parameter a grid varies per family.
+GRID_PARAMS = {"svm": ("C",), "rf": ("n_estimators",)}
 
 
 def train_model(
@@ -41,10 +36,6 @@ def train_model(
     merged = dict(DEFAULT_PARAMS.get(family, {}))
     merged.update(params or {})
     if family == "svm":
-        if "gamma" in merged:
-            # A gamma setting is meaningful only for nonlinear kernels.
-            logger.warning("gamma has no effect with a linear kernel; ignored")
-            merged.pop("gamma")
         if isinstance(merged["C"], bool) or not isinstance(merged["C"], (int, float)):
             raise DataError(f"C must be a number, got {merged['C']!r}")
         return train_linear_svm(X, y, C=merged["C"], seed=seed)
@@ -95,9 +86,9 @@ def grid_search(
 ) -> GridResult:
     """Cross-validate every grid point on shared folds and keep the best one.
 
-    Points are enumerated as the Cartesian product of the grid values in
-    declaration order.  Best = highest mean F1, ties broken by higher mean
-    accuracy, then by enumeration order.
+    The grid maps the family's one parameter (``GRID_PARAMS``) to its
+    values, and the points are those values in the order given.  Best =
+    highest mean F1, ties broken by higher mean accuracy, then by order.
     """
     from .eval import crossvalidate_candidates, fold_summary
 
@@ -113,11 +104,8 @@ def grid_search(
                 f"{family} has no parameter {name!r} "
                 f"(expected one of {', '.join(GRID_PARAMS[family])})"
             )
-    names = list(grid)
-    points = [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(grid[name] for name in names))
-    ]
+    ((name, values),) = grid.items()
+    points = [{name: value} for value in values]
     scores = crossvalidate_candidates(
         token_docs, labels, [(family, params) for params in points], k=k, seed=seed
     )

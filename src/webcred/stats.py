@@ -12,10 +12,9 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DataError, write_csv
-from .textprep import Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -198,16 +197,16 @@ class TermStat:
 def term_significance(
     docs_low: Sequence[Sequence[str]],
     docs_other: Sequence[Sequence[str]],
-    vocab: Vocabulary | Iterable[str],
+    terms: Sequence[str],
 ) -> list[TermStat]:
-    """Per-term 2x2 association stats, most significant first.
+    """2x2 association stats for each of ``terms`` (each given once), most
+    significant first.
 
     Presence is counted once per document.  Rows are ranked by p ascending,
     then |ln OR| descending, then term, so the output order is total.
     """
     if not docs_low or not docs_other:
         raise DataError("both document sets must be non-empty")
-    terms = vocab.terms if isinstance(vocab, Vocabulary) else sorted(set(vocab))
     low_sets = [set(tokens) for tokens in docs_low]
     other_sets = [set(tokens) for tokens in docs_other]
     n_low, n_other = len(low_sets), len(other_sets)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import DataError, json_number
 DEFAULT_MIN_DF = 2
 
 IDF_FORMULA = "smooth_ln_plus1"
+NORM = "l1"
 
 # ~150 high-frequency English function words; pruned from every vocabulary.
 STOPWORDS = frozenset("""
@@ -55,11 +56,14 @@ def tokenize(cleaned: str) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """Dense term -> feature index map with document frequencies."""
+    """Dense term -> feature index map with document frequencies, and the
+    pruning floor and stop-word list it was built with."""
 
     index: dict[str, int]
     df: dict[str, int]
     n_docs: int
+    min_df: int
+    stopwords: frozenset[str]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -73,9 +77,6 @@ class Vocabulary:
 class TfIdfModel:
     vocabulary: Vocabulary
     idf: np.ndarray
-    norm: str = "l1"
-    min_df: int = DEFAULT_MIN_DF
-    stopwords: frozenset[str] = field(default=STOPWORDS, repr=False)
 
     @property
     def dim(self) -> int:
@@ -86,9 +87,9 @@ class TfIdfModel:
         return {
             "schema_version": 1,
             "idf_formula": IDF_FORMULA,
-            "norm": self.norm,
-            "stopwords": sorted(self.stopwords),
-            "min_df": self.min_df,
+            "norm": NORM,
+            "stopwords": sorted(vocab.stopwords),
+            "min_df": vocab.min_df,
             "n_docs": vocab.n_docs,
             "vocab": [
                 {"term": t, "index": vocab.index[t], "df": vocab.df[t]}
@@ -103,8 +104,8 @@ class TfIdfModel:
         vocab indices number the V terms 0..V-1, each once."""
         if data.get("idf_formula") != IDF_FORMULA:
             raise DataError(f"unsupported idf formula: {data.get('idf_formula')!r}")
-        norm = data.get("norm", "l1")
-        if norm != "l1":
+        norm = data.get("norm", NORM)
+        if norm != NORM:
             raise DataError(f"unsupported norm {norm!r}: features are l1-normalized")
         index: dict[str, int] = {}
         df: dict[str, int] = {}
@@ -116,13 +117,11 @@ class TfIdfModel:
             raise DataError("vocab indices must number the terms 0..V-1, each once")
         n_docs = json_number(data["n_docs"], "n_docs", integer=True)
         min_df = json_number(data.get("min_df", DEFAULT_MIN_DF), "min_df", integer=True)
-        vocab = Vocabulary(index=index, df=df, n_docs=n_docs)
-        return cls(
-            vocabulary=vocab,
-            idf=_idf_from_vocab(vocab),
-            min_df=min_df,
+        vocab = Vocabulary(
+            index=index, df=df, n_docs=n_docs, min_df=min_df,
             stopwords=frozenset(data.get("stopwords", [])),
         )
+        return cls(vocabulary=vocab, idf=_idf_from_vocab(vocab))
 
 
 @dataclass
@@ -154,7 +153,7 @@ def build_vocabulary(
     """
     if not docs:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    stop = set(stopwords)
+    stop = frozenset(stopwords)
     df: dict[str, int] = {}
     for tokens in docs:
         for term in set(tokens):
@@ -164,6 +163,8 @@ def build_vocabulary(
         index={t: i for i, t in enumerate(kept)},
         df={t: df[t] for t in kept},
         n_docs=len(docs),
+        min_df=min_df,
+        stopwords=stop,
     )
 
 
@@ -197,10 +198,6 @@ def transform(tokens: Sequence[str], model: TfIdfModel) -> SparseVector:
         i = index.get(term)
         if i is not None:
             counts[i] = counts.get(i, 0) + 1
-    if not counts:
-        return SparseVector(
-            indices=np.empty(0, dtype=np.int32), values=np.empty(0), dim=model.dim
-        )
     indices = np.array(sorted(counts), dtype=np.int32)
     values = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
     values /= values.sum()

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import make_marker_corpus
 from test_acceptance import subprocess_env
 from webcred import __version__, ingest
-from webcred.cli import main
+from webcred.cli import build_parser, main
 from webcred.credibility import read_scores_csv, select_families
 from webcred.eval import read_cv_report_csv
 
@@ -346,12 +348,21 @@ class TestGrid:
         with open(out, newline="") as fh:
             return list(csv.reader(fh))[1:]
 
-    def test_report_is_valid_csv_for_a_two_parameter_grid(self, pipeline, tmp_path):
-        rows = self.run_grid(pipeline, tmp_path, '{"C": [1.0], "gamma": [0.5]}')
-        assert len(rows) == 1
-        assert len(rows[0]) == 8
-        assert json.loads(rows[0][2]) == {"C": 1.0, "gamma": 0.5}
-        assert rows[0][7] == "1"
+    def test_report_is_valid_csv_for_a_two_parameter_grid(
+        self, pipeline, tmp_path, capsys
+    ):
+        # A linear svm has one parameter, so a second one is a data error.
+        fx = pipeline["fx"]
+        rc = main(["grid", "--docs", f"{fx}/webpages.jsonl",
+                   "--labels", f"{fx}/labels.csv", "--criterion", "2",
+                   "--family", "svm", "--grid", '{"C": [1.0], "gamma": [0.5]}',
+                   "--folds", "5", "--out", str(tmp_path / "grid.csv"),
+                   "--manifest", str(tmp_path / "grid_manifest.json")])
+        assert rc == 1
+        assert_one_error_line(
+            capsys.readouterr().err, "svm has no parameter 'gamma' (expected one of C)"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_grid_values_select_one_row(self, pipeline, tmp_path):
         rows = self.run_grid(pipeline, tmp_path, '{"C": [10.0, 10.0]}')
@@ -681,7 +692,7 @@ def test_stages_that_never_filter_run_no_language_detection(
         ("svm", '{"C": ["x"]}', "C must be a number, got 'x'"),
         ("rf", '{"n_estimators": [2.5]}', "n_estimators must be an integer, got 2.5"),
         ("svm", '{"C": [1.0], "c": [1, 2]}',
-         "svm has no parameter 'c' (expected one of C, gamma)"),
+         "svm has no parameter 'c' (expected one of C)"),
         ("rf", '{"C": [1.0]}', "rf has no parameter 'C' (expected one of n_estimators)"),
     ],
 )
@@ -881,3 +892,150 @@ def test_mutated_json_or_text_input_exits_0_or_1_with_one_error_line(
 ):
     source, argv = OTHER_INPUTS[name]
     check_mutated_input(pipeline, tmp_path, name, source, argv, JSON_MUTATIONS)
+
+
+# Every option of every subcommand, as (dest, type, default, required,
+# choices, help), keyed by the subcommand and its help line.  Manifests
+# record vars(args) as their config, so a change here changes every
+# manifest; --seed must stay, since the benchmark passes it to each stage.
+SEED = ("seed", int, 42, False, None, "PRNG seed")
+MANIFEST = ("manifest", None, None, False, None,
+            "run-manifest path (default: <subcommand>_manifest.json)")
+JACCARD = ("jaccard", float, 0.9, False, None, "near-duplicate similarity threshold")
+CLI_SURFACE = {
+    ("ingest", "filter the webpage corpus"): {
+        "--webpages": ("webpages", None, None, True, None, None),
+        "--tweets": ("tweets", None, None, False, None, None),
+        "--reference-urls": ("reference_urls", None, None, False, None, None),
+        "--report": ("report", None, "filter_report.json", False, None, None),
+        "--min-words": ("min_words", int, 300, False, None, None),
+        "--jaccard": JACCARD,
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("cv", "cross-validate both model families"): {
+        "--docs": ("docs", None, None, True, None, None),
+        "--labels": ("labels", None, None, True, None, None),
+        "--out": ("out", None, "cv_report.csv", False, None, None),
+        "--folds": ("folds", int, 10, False, None, None),
+        "--families": ("families", None, "svm,rf", False, None, None),
+        "--svm-c": ("svm_c", float, 100.0, False, None, None),
+        "--rf-estimators": ("rf_estimators", int, 10, False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("train", "train the per-criterion ensemble"): {
+        "--docs": ("docs", None, None, True, None, None),
+        "--labels": ("labels", None, None, True, None, None),
+        "--cv-report": ("cv_report", None, None, True, None, None),
+        "--out": ("out", None, "model.json", False, None, None),
+        "--svm-c": ("svm_c", float, 100.0, False, None, None),
+        "--rf-estimators": ("rf_estimators", int, 10, False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("grid", "hyperparameter grid search"): {
+        "--docs": ("docs", None, None, True, None, None),
+        "--labels": ("labels", None, None, True, None, None),
+        "--criterion": ("criterion", int, None, True, None, None),
+        "--family": ("family", None, None, True, ("svm", "rf"), None),
+        "--grid": ("grid", None, None, False, None, """JSON grid, e.g. '{"C": [1, 10]}'"""),
+        "--folds": ("folds", int, 10, False, None, None),
+        "--out": ("out", None, "grid_report.csv", False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("score", "score filtered documents"): {
+        "--model": ("model", None, None, True, None, None),
+        "--docs": ("docs", None, None, True, None, None),
+        "--out": ("out", None, "scores.csv", False, None, None),
+        "--min-words": ("min_words", int, 300, False, None, None),
+        "--jaccard": JACCARD,
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("evaluate", "3-class evaluation on labels"): {
+        "--model": ("model", None, None, True, None, None),
+        "--docs": ("docs", None, None, True, None, None),
+        "--labels": ("labels", None, None, True, None, None),
+        "--out": ("out", None, "evaluation.json", False, None, None),
+        "--distribution": ("distribution", None, "label_distribution.csv", False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("kappa", "rater agreement from a ratings file"): {
+        "--ratings": ("ratings", None, None, True, None, None),
+        "--out": ("out", None, "kappa.json", False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("terms", "term significance for low bucket"): {
+        "--docs": ("docs", None, None, True, None, None),
+        "--scores": ("scores", None, None, True, None, None),
+        "--out": ("out", None, "terms.csv", False, None, None),
+        "--min-df": ("min_df", int, 2, False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("exposure", "share counts and exposure sums"): {
+        "--tweets": ("tweets", None, None, True, None, None),
+        "--scores": ("scores", None, None, True, None, None),
+        "--out": ("out", None, "exposure.csv", False, None, None),
+        "--report": ("report", None, "bucket_report.json", False, None, None),
+        "--top": ("top", int, 100, False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+    ("graph", "follower network construction"): {
+        "--tweets": ("tweets", None, None, True, None, None),
+        "--scores": ("scores", None, None, True, None, None),
+        "--followers": ("followers", None, None, True, None, None),
+        "--graphml": ("graphml", None, None, False, None, None),
+        "--dot": ("dot", None, None, False, None, None),
+        "--min-links": ("min_links", int, 2, False, None, None),
+        "--seed": SEED,
+        "--manifest": MANIFEST,
+    },
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    helps = {choice.dest: choice.help for choice in commands._choices_actions}
+    surface = {
+        (name, helps[name]): {
+            "/".join(a.option_strings): (
+                a.dest, a.type, a.default, a.required,
+                tuple(a.choices) if a.choices else None, a.help,
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 73
+
+
+def readme_pipeline_commands(repo_root):
+    """The ``webcred ...`` command lines of README's Pipeline block, each
+    with its continuation lines joined."""
+    text = (repo_root / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Pipeline", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        line for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("webcred ")
+    ]
+
+
+def test_readme_pipeline_commands_parse(repo_root):
+    commands = readme_pipeline_commands(repo_root)
+    assert [line.split()[1] for line in commands] == [
+        "ingest", "cv", "train", "score", "evaluate", "kappa", "terms",
+        "exposure", "graph",
+    ]
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])

@@ -52,18 +52,10 @@ class TestGridSearch:
         assert result.best_params == {"n_estimators": 3}
         assert result.best_index == 2
 
-    def test_grid_points_are_the_product_in_declaration_order(self, monkeypatch):
-        def fake(token_docs, labels, candidates, k, seed):
-            return [([0.0], [0.0]) for _ in candidates]
-
-        monkeypatch.setattr(webcred.eval, "crossvalidate_candidates", fake)
-        result = grid_search([], [], "svm", {"C": [1.0, 2.0], "gamma": [0.5, 3.0]})
-        assert [p.params for p in result.table] == [
-            {"C": 1.0, "gamma": 0.5},
-            {"C": 1.0, "gamma": 3.0},
-            {"C": 2.0, "gamma": 0.5},
-            {"C": 2.0, "gamma": 3.0},
-        ]
+    def test_grid_points_are_the_product_in_declaration_order(self):
+        # svm's only grid parameter is C; a linear kernel has no gamma.
+        with pytest.raises(DataError, match="svm has no parameter 'gamma'"):
+            grid_search([], [], "svm", {"C": [1.0, 2.0], "gamma": [0.5, 3.0]})
 
     @pytest.mark.parametrize("grid", [{}, {"C": []}])
     def test_empty_grid_rejected(self, grid):

@@ -152,9 +152,13 @@ class TestTransform:
         docs = [["flu", "shot", "dose"], ["flu", "dose"], ["flu"]]
         vocab = build_vocabulary(docs, min_df=1, stopwords=())
         model = fit_tfidf(docs, vocab)
-        restored = type(model).from_dict(model.to_dict())
+        data = model.to_dict()
+        assert (data["min_df"], data["stopwords"]) == (1, [])
+        restored = type(model).from_dict(data)
         assert restored.vocabulary.terms == vocab.terms
         assert np.array_equal(restored.idf, model.idf)
+        assert restored.vocabulary.min_df == 1
+        assert restored.vocabulary.stopwords == frozenset()
 
 
 class TestSparseHelpers:
