@@ -41,8 +41,10 @@ def svm_fit(
     # The hot loop is bound by interpreter overhead, not arithmetic: each
     # row's (cols, vals, y_i, Q_ii) is sliced once with the scalars as
     # Python floats, the dot uses ndarray.dot (the same routine as ``@`` for
-    # 1-D operands, with less dispatch) and the update reuses the gathered
-    # w[cols].  Q_ii = x_i . x_i + 1 for the augmented bias feature.
+    # 1-D operands, with less dispatch), w is gathered with ``take`` and
+    # scattered with ``put`` (cheaper calls than ``w[cols]`` indexing, same
+    # values) and the update reuses the gathered row.  Q_ii = x_i . x_i + 1
+    # for the augmented bias feature.
     rows = []
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
@@ -60,7 +62,7 @@ def svm_fit(
         max_violation = 0.0
         for i in order:
             cols, vals, yi, qi = rows[i]
-            w_row = w[cols]
+            w_row = w.take(cols)
             g = yi * (float(vals.dot(w_row)) + wb) - 1.0
             a = alpha[i]
             if a <= 0.0:
@@ -75,7 +77,7 @@ def svm_fit(
                 a_new = min(max(a - g / qi, 0.0), C)
                 d = (a_new - a) * yi
                 if d != 0.0:
-                    w[cols] = w_row + d * vals
+                    w.put(cols, w_row + d * vals)
                     wb += d
                     alpha[i] = a_new
         epochs_run += 1

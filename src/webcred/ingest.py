@@ -296,7 +296,7 @@ def _shingles(text: str, size: int = SHINGLE_SIZE) -> frozenset[tuple[str, ...]]
     words = list(map(sys.intern, text.lower().split()))
     if len(words) < size:
         return frozenset([tuple(words)]) if words else frozenset()
-    return frozenset(tuple(words[i : i + size]) for i in range(len(words) - size + 1))
+    return frozenset(zip(*(words[i:] for i in range(size))))
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:

@@ -4,15 +4,25 @@ A small built-in detector replaces the external language-detection service:
 the corpus filter only needs a coarse English-vs-not decision.  Each
 language profile is a character-trigram frequency vector built from the
 bundled snippets in :mod:`webcred._langdata`; a document is scored by
-cosine similarity against every profile and assigned the best match.
+cosine similarity against every profile and assigned the best match
+(Cavnar and Trenkle, 1994).
+
+Trigrams are counted as integers: the normalised text is read as UTF-32
+code points, and each trigram's three 21-bit code points are packed into
+one int64 key.  A document's keys are looked up in the sorted union of
+the profile keys, so its dot product with every profile is one integer
+matrix product.  Dots and squared norms stay exact integers until the
+final division, so the result equals that of counting trigram strings in
+a dict.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from functools import lru_cache
+
+import numpy as np
 
 from ._langdata import PROFILE_TEXTS
 
@@ -20,36 +30,39 @@ MIN_TEXT_CHARS = 20
 
 _NON_LETTER = re.compile(r"[^a-zà-öø-ÿœßñçа-яά-ώ]+")
 
+# Every code point is below 2**21, so three fit in an int64 key.
+_CODE_BITS = 21
 
-def _trigram_counts(text: str) -> dict[str, int]:
-    """Trigram histogram of lowercased text with non-letters as gaps."""
+
+def _trigram_counts(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct packed trigram keys of lowercased text with
+    non-letters as gaps, and the count of each."""
     # Each run of non-letters becomes one space, so no trigram is all
     # whitespace.
     normalized = " " + _NON_LETTER.sub(" ", text.lower()).strip() + " "
-    return Counter([normalized[i : i + 3] for i in range(len(normalized) - 2)])
+    codes = np.frombuffer(normalized.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
+    keys = (codes[:-2] << 2 * _CODE_BITS) | (codes[1:-1] << _CODE_BITS) | codes[2:]
+    return np.unique(keys, return_counts=True)
 
 
-def _norm(counts: dict[str, int]) -> float:
-    return math.sqrt(sum(v * v for v in counts.values()))
-
-
-def _cosine(a: dict[str, int], norm_a: float, b: dict[str, int], norm_b: float) -> float:
-    """Cosine of two histograms given their norms."""
-    if not a or not b:
-        return 0.0
-    small, large = (b, a) if len(b) < len(a) else (a, b)
-    dot = sum(v * large[g] for g, v in small.items() if g in large)
-    return dot / (norm_a * norm_b)
+def _norm(counts: np.ndarray) -> float:
+    return math.sqrt(int(counts @ counts))
 
 
 @lru_cache(maxsize=1)
-def _profiles() -> dict[str, tuple[dict[str, int], float]]:
-    """Each language's trigram histogram and its norm."""
-    profiles = {}
-    for lang, text in PROFILE_TEXTS.items():
-        counts = _trigram_counts(text)
-        profiles[lang] = (counts, _norm(counts))
-    return profiles
+def _profiles() -> tuple[list[str], np.ndarray, np.ndarray, list[float]]:
+    """The languages in sorted order, the sorted union of their trigram
+    keys, the count of each key in each language (one column per
+    language, 0 where absent) and each language's norm."""
+    langs = sorted(PROFILE_TEXTS)
+    histograms = [_trigram_counts(PROFILE_TEXTS[lang]) for lang in langs]
+    # The counting form of np.unique, as in _trigram_counts: the plain
+    # form imports numpy.ma, about 1 MB of resident memory for nothing.
+    union, _ = np.unique(np.concatenate([keys for keys, _ in histograms]), return_counts=True)
+    table = np.zeros((len(union), len(langs)), dtype=np.int64)
+    for j, (keys, counts) in enumerate(histograms):
+        table[np.searchsorted(union, keys), j] = counts
+    return langs, union, table, [_norm(counts) for _, counts in histograms]
 
 
 def detect_language(text: str) -> tuple[str, float]:
@@ -60,14 +73,19 @@ def detect_language(text: str) -> tuple[str, float]:
     """
     if len(text) < MIN_TEXT_CHARS:
         return "und", 0.0
-    grams = _trigram_counts(text)
-    if not grams:
+    keys, counts = _trigram_counts(text)
+    if not keys.size:
         return "und", 0.0
+    langs, union, table, profile_norms = _profiles()
+    pos = np.searchsorted(union, keys)
+    # A key above every profile key matches none; clamp it into range.
+    pos[pos == len(union)] = 0
+    known = union[pos] == keys
+    dots = counts[known] @ table[pos[known]]
+    norm = _norm(counts)
     best_lang, best_sim = "und", 0.0
-    norm = _norm(grams)
-    profiles = _profiles()
-    for lang in sorted(profiles):
-        sim = _cosine(grams, norm, *profiles[lang])
+    for lang, dot, profile_norm in zip(langs, dots.tolist(), profile_norms):
+        sim = dot / (norm * profile_norm)
         if sim > best_sim:
             best_lang, best_sim = lang, sim
     if best_sim == 0.0:

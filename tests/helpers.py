@@ -5,7 +5,8 @@ is used to check: the dense TF-IDF oracle works on plain lists, and the
 marker corpus is built with the stdlib random module.  The clean-text,
 dedupe and split oracles are the straightforward loops the library
 replaced with faster equivalents; the dedupe oracle shares only the
-library's shingle and Jaccard helpers.
+library's shingle and Jaccard helpers, and the language oracle only the
+bundled profile texts.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
+from webcred._langdata import PROFILE_TEXTS
 from webcred.errors import DataError
 from webcred.ingest import WebDocument, _shingles, jaccard
 
@@ -179,3 +183,53 @@ def node_best_split_oracle(X, rows, feats, y):
                 thr = v[i]
             best_feat, best_thr, best_score = int(f), float(thr), float(weighted[j])
     return best_feat, best_thr, best_score
+
+
+_NON_LETTER = re.compile(r"[^a-zà-öø-ÿœßñçа-яά-ώ]+")
+
+
+def _trigram_counts(text: str) -> dict[str, int]:
+    normalized = " " + _NON_LETTER.sub(" ", text.lower()).strip() + " "
+    return Counter([normalized[i : i + 3] for i in range(len(normalized) - 2)])
+
+
+def _norm(counts: dict[str, int]) -> float:
+    return math.sqrt(sum(v * v for v in counts.values()))
+
+
+def _cosine(a: dict[str, int], norm_a: float, b: dict[str, int], norm_b: float) -> float:
+    if not a or not b:
+        return 0.0
+    small, large = (b, a) if len(b) < len(a) else (a, b)
+    dot = sum(v * large[g] for g, v in small.items() if g in large)
+    return dot / (norm_a * norm_b)
+
+
+@lru_cache(maxsize=1)
+def _profiles() -> dict[str, tuple[dict[str, int], float]]:
+    profiles = {}
+    for lang, text in PROFILE_TEXTS.items():
+        counts = _trigram_counts(text)
+        profiles[lang] = (counts, _norm(counts))
+    return profiles
+
+
+def detect_language_oracle(text: str) -> tuple[str, float]:
+    """The trigram-string ``Counter`` detector that
+    ``language.detect_language`` replaced with packed integer keys, kept
+    verbatim as the reference: the same ``(lang, sim)`` for every text."""
+    if len(text) < 20:
+        return "und", 0.0
+    grams = _trigram_counts(text)
+    if not grams:
+        return "und", 0.0
+    best_lang, best_sim = "und", 0.0
+    norm = _norm(grams)
+    profiles = _profiles()
+    for lang in sorted(profiles):
+        sim = _cosine(grams, norm, *profiles[lang])
+        if sim > best_sim:
+            best_lang, best_sim = lang, sim
+    if best_sim == 0.0:
+        return "und", 0.0
+    return best_lang, best_sim
