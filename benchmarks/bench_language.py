@@ -7,10 +7,11 @@ pages and on the 600-page ``score-corpus`` of the perfbench workload
 generator (520 English pages with long-tail terms, 30 near-duplicates, 20
 short, 20 French and 10 empty pages), and checks that both give the same
 ``(lang, sim)`` for every page, with exact equality.  Both detectors build
-their profiles before the timed pass.  Exits 1 on any mismatch.
+their profiles before the timed passes, and each prints its best of
+``REPEAT`` passes.  Exits 1 on any mismatch.
 
 Usage:
-    python3 benchmarks/bench_language.py [--seed S] [--repeat R]
+    python3 benchmarks/bench_language.py [--seed S]
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 from webcred.language import detect_language
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 3
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -36,10 +38,10 @@ def read_texts(path: Path) -> list[str]:
     return [json.loads(line)["text"] for line in path.read_text().splitlines()]
 
 
-def timed(fn, texts: list[str], repeat: int) -> tuple[float, list[tuple[str, float]]]:
-    """Best wall time of ``repeat`` passes over ``texts``, and the results."""
+def timed(fn, texts: list[str]) -> tuple[float, list[tuple[str, float]]]:
+    """Best wall time of ``REPEAT`` passes over ``texts``, and the results."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         results = [fn(text) for text in texts]
         best = min(best, time.perf_counter() - t0)
@@ -49,8 +51,6 @@ def timed(fn, texts: list[str], repeat: int) -> tuple[float, list[tuple[str, flo
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="timed passes per detector; the best is printed")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -64,8 +64,8 @@ def main() -> int:
     detect_language_oracle("warm up the language profiles")
     status = 0
     for name, texts in corpora.items():
-        t_oracle, expected = timed(detect_language_oracle, texts, args.repeat)
-        t_packed, got = timed(detect_language, texts, args.repeat)
+        t_oracle, expected = timed(detect_language_oracle, texts)
+        t_packed, got = timed(detect_language, texts)
         mismatches = sum(a != b for a, b in zip(got, expected))
         print(f"{name}: {len(texts)} pages")
         print(f"  Counter oracle   {t_oracle:8.3f} s")
