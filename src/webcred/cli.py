@@ -21,7 +21,9 @@ from .errors import (
     DataError, open_input, open_output, output_transaction, read_csv, write_csv
 )
 from .rng import stream_seed
-from .textprep import build_vocabulary, clean_text, fit_tfidf, tokenize, transform
+# transform is unused here but stays bound: perfbench's tracer self-test
+# checks that tracing wraps cli.transform.
+from .textprep import build_vocabulary, clean_text, tokenize, transform
 
 DEFAULT_SEED = 42
 
@@ -155,9 +157,7 @@ def _cmd_train(args) -> None:
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     cv_report = evalmod.read_cv_report_csv(args.cv_report)
     chosen = credibility.select_families(cv_report)
-    vocab = build_vocabulary(token_docs)
-    tfidf = fit_tfidf(token_docs, vocab)
-    X = [transform(tokens, tfidf) for tokens in token_docs]
+    tfidf, X = evalmod.fit_features(token_docs)
     params = _model_params(args)
     trained = {}
     for criterion, family in chosen.items():

@@ -3,10 +3,12 @@
 The harness refits the vocabulary and TF-IDF weights inside every fold so
 no document frequency from a held-out fold leaks into training, and
 stratifies folds because several criteria are heavily imbalanced.
+``fit_features`` is that fit, shared by every fold and by ``train``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, StratificationError, read_csv, write_csv
 from .rng import SplitMix64, stream_seed
-from .textprep import build_vocabulary, fit_tfidf, transform
+from .textprep import SparseVector, TfIdfModel, build_vocabulary, fit_tfidf, transform
 
 DEFAULT_FOLDS = 10
 
@@ -127,6 +129,25 @@ def fold_summary(f1s: Sequence[float], accs: Sequence[float]) -> dict[str, float
     }
 
 
+def fit_features(
+    train_docs: Sequence[Sequence[str]],
+) -> tuple[TfIdfModel, list[SparseVector]]:
+    """The vocabulary and TF-IDF weights fitted on ``train_docs``, and the
+    vectors of those documents.
+
+    Raises DataError when no term survives pruning, since no model can
+    learn from an empty feature space.
+    """
+    vocab = build_vocabulary(train_docs)
+    if not len(vocab):
+        raise DataError(
+            "training documents yield an empty vocabulary: no term outside "
+            f"the stop-words occurs in {vocab.min_df} or more of them"
+        )
+    tfidf = fit_tfidf(train_docs, vocab)
+    return tfidf, [transform(tokens, tfidf) for tokens in train_docs]
+
+
 def crossvalidate_candidates(
     token_docs: Sequence[Sequence[str]],
     labels: Sequence[int],
@@ -138,8 +159,10 @@ def crossvalidate_candidates(
 
     Every candidate is scored on the same folds, and each fold's
     vocabulary, TF-IDF weights and vectors are built once and shared by
-    all candidates.  Fold f trains with substream seed stream_seed(seed, f),
-    so folds can be evaluated in any order with identical results.
+    all candidates.  Each document is reduced to its term counts once, and
+    every fold reads those.  Fold f trains with substream seed
+    stream_seed(seed, f), so folds can be evaluated in any order with
+    identical results.
     """
     from .models import train_model
 
@@ -148,21 +171,14 @@ def crossvalidate_candidates(
             f"got {len(token_docs)} documents but {len(labels)} labels"
         )
     folds = stratified_kfold(labels, k=k, seed=seed)
+    term_counts = [Counter(tokens) for tokens in token_docs]
     scores: list[tuple[list[float], list[float]]] = [([], []) for _ in candidates]
     for f, held_out in enumerate(folds):
         held = set(held_out)
         train_idx = [i for i in range(len(labels)) if i not in held]
-        train_tokens = [token_docs[i] for i in train_idx]
-        vocab = build_vocabulary(train_tokens)
-        if not len(vocab):
-            raise DataError(
-                "fold training split yields an empty vocabulary; "
-                "corpus is too small or too sparse"
-            )
-        tfidf = fit_tfidf(train_tokens, vocab)
-        X_train = [transform(t, tfidf) for t in train_tokens]
+        tfidf, X_train = fit_features([term_counts[i] for i in train_idx])
         y_train = [labels[i] for i in train_idx]
-        X_test = [transform(token_docs[i], tfidf) for i in held_out]
+        X_test = [transform(term_counts[i], tfidf) for i in held_out]
         y_test = [labels[i] for i in held_out]
         for (family, params), (f1s, accs) in zip(candidates, scores):
             model = train_model(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -207,13 +208,12 @@ def term_significance(
     """
     if not docs_low or not docs_other:
         raise DataError("both document sets must be non-empty")
-    low_sets = [set(tokens) for tokens in docs_low]
-    other_sets = [set(tokens) for tokens in docs_other]
-    n_low, n_other = len(low_sets), len(other_sets)
+    low_df = Counter(t for tokens in docs_low for t in set(tokens))
+    other_df = Counter(t for tokens in docs_other for t in set(tokens))
+    n_low, n_other = len(docs_low), len(docs_other)
     out: list[TermStat] = []
     for term in terms:
-        a = sum(1 for s in low_sets if term in s)
-        c = sum(1 for s in other_sets if term in s)
+        a, c = low_df[term], other_df[term]
         b, d = n_low - a, n_other - c
         ratio, ci_low, ci_high = odds_ratio_ci(a, b, c, d)
         out.append(

@@ -121,8 +121,8 @@ def train_linear_svm(
     ``MAX_EPOCHS`` epochs, which is logged as a warning.  The objective
     histories are in the units of the module docstring's objective.
     """
-    if C <= 0.0:
-        raise DataError(f"C must be positive, got {C}")
+    if not 0.0 < C < np.inf:
+        raise DataError(f"C must be a positive finite number, got {C}")
     _validate_training_set(X, y)
     indptr, indices, data, dim = to_csr(X)
     signs = np.where(np.asarray(y, dtype=np.float64) > 0.0, 1.0, -1.0)

@@ -4,12 +4,18 @@ Features are unigram TF-IDF weights with the smoothed inverse document
 frequency idf(t) = ln((1+N)/(1+df(t))) + 1, l1-normalized per document.
 The fitted model records its formula, stop-word list, and pruning floor so
 a persisted model file fully determines the feature space.
+
+A tokenized document is read only through its term counts: the vocabulary
+through the set of its terms, ``transform`` through ``Counter(tokens)``.
+So a ``Counter`` of a document's tokens gives the same result as the token
+list, and callers that read a document many times pass its ``Counter``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -192,14 +198,10 @@ def transform(tokens: Sequence[str], model: TfIdfModel) -> SparseVector:
     Out-of-vocabulary terms are ignored; a document with no in-vocabulary
     terms maps to the zero vector.
     """
-    counts: dict[int, int] = {}
     index = model.vocabulary.index
-    for term in tokens:
-        i = index.get(term)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + 1
-    indices = np.array(sorted(counts), dtype=np.int32)
-    values = np.array([counts[i] for i in indices], dtype=np.float64) * model.idf[indices]
+    pairs = sorted((index[t], n) for t, n in Counter(tokens).items() if t in index)
+    indices = np.array([i for i, _ in pairs], dtype=np.int32)
+    values = np.array([n for _, n in pairs], dtype=np.float64) * model.idf[indices]
     values /= values.sum()
     return SparseVector(indices=indices, values=values, dim=model.dim)
 

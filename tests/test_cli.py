@@ -18,7 +18,7 @@ from test_acceptance import subprocess_env
 from webcred import __version__, ingest
 from webcred.cli import build_parser, main
 from webcred.credibility import read_scores_csv, select_families
-from webcred.eval import read_cv_report_csv
+from webcred.eval import CV_REPORT_HEADER, read_cv_report_csv
 
 nx = pytest.importorskip("networkx")
 
@@ -690,6 +690,7 @@ def test_stages_that_never_filter_run_no_language_detection(
         ("svm", '{"C": 1}', "non-empty list"),
         ("svm", "[1]", "non-empty list"),
         ("svm", '{"C": ["x"]}', "C must be a number, got 'x'"),
+        ("svm", '{"C": [Infinity]}', "C must be a positive finite number, got inf"),
         ("rf", '{"n_estimators": [2.5]}', "n_estimators must be an integer, got 2.5"),
         ("svm", '{"C": [1.0], "c": [1, 2]}',
          "svm has no parameter 'c' (expected one of C)"),
@@ -705,6 +706,56 @@ def test_invalid_grid_exits_1(pipeline, tmp_path, capsys, family, grid, message)
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, message)
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def write_cv_report(path, winner):
+    """A cv report in which family ``winner`` has the higher F1 on every
+    criterion, so ``train`` picks it throughout."""
+    rows = [
+        f"{k},{family},{0.9 if family == winner else 0.1},0.0,0.5,0.0"
+        for k in range(1, 8)
+        for family in ("svm", "rf")
+    ]
+    path.write_text("\n".join([",".join(CV_REPORT_HEADER), *rows]) + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("stage", ["cv", "train"])
+def test_non_finite_svm_c_exits_1(pipeline, tmp_path, capsys, stage, value):
+    fx = pipeline["fx"]
+    cv_report = tmp_path / "cv.csv"
+    write_cv_report(cv_report, "svm")
+    argv = {
+        "cv": ["--svm-c", value, "--folds", "3"],
+        "train": ["--svm-c", value, "--cv-report", str(cv_report)],
+    }[stage]
+    rc = main([stage, "--docs", f"{fx}/webpages.jsonl", "--labels", f"{fx}/labels.csv",
+               *argv, "--out", f"{tmp_path}/out", "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "C must be a positive finite number")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.csv"]
+
+
+def test_train_on_a_corpus_without_shared_terms_exits_1(tmp_path, capsys):
+    """No term occurs in two of the four pages, so the vocabulary is empty;
+    the forest chosen for every criterion never sees it."""
+    with open(tmp_path / "webpages.jsonl", "w") as fh:
+        for i, word in enumerate(["alpha", "bravo", "charlie", "delta"]):
+            fh.write(json.dumps({"url": doc_url(i), "text": f"{word} {word}"}) + "\n")
+    with open(tmp_path / "labels.csv", "w") as fh:
+        fh.write("url," + ",".join(f"c{k}" for k in range(1, 8)) + "\n")
+        for i in range(4):
+            fh.write(doc_url(i) + f",{i % 2}" * 7 + "\n")
+    write_cv_report(tmp_path / "cv.csv", "rf")
+    rc = main(["train", "--docs", f"{tmp_path}/webpages.jsonl",
+               "--labels", f"{tmp_path}/labels.csv",
+               "--cv-report", f"{tmp_path}/cv.csv", "--out", f"{tmp_path}/model.json",
+               "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, "empty vocabulary")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cv.csv", "labels.csv", "webpages.jsonl"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,11 @@ class TestCrossValidation:
         with pytest.raises(DataError):
             crossvalidate_criterion(docs, labels, "boosted", k=3, seed=0)
 
+    def test_corpus_without_shared_terms_is_rejected(self):
+        docs = [["alpha"], ["bravo"], ["charlie"], ["delta"]]
+        with pytest.raises(DataError, match="empty vocabulary"):
+            crossvalidate_criterion(docs, [1, 0, 1, 0], "rf", k=2, seed=0)
+
     def test_deterministic_across_runs(self):
         docs, labels = make_marker_corpus(40, seed=34)
         a = crossvalidate_criterion(docs, labels, "rf", k=4, seed=9)

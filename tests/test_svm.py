@@ -102,8 +102,9 @@ class TestValidation:
 
     def test_nonpositive_c_rejected(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
-        with pytest.raises(DataError):
-            train_linear_svm(X, [1, 0], C=0.0, seed=0)
+        for C in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="positive finite"):
+                train_linear_svm(X, [1, 0], C=C, seed=0)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DataError):

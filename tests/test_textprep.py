@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import sys
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import clean_text_oracle, dense_tfidf_oracle, make_random_token_docs
 from webcred.errors import DataError
+from webcred.eval import crossvalidate_criterion
+from webcred.stats import term_significance
 from webcred.textprep import (
     STOPWORDS,
     SparseVector,
@@ -188,3 +191,63 @@ class TestSparseHelpers:
             row[indices[start:end]] = data[start:end]
             assert np.array_equal(row, dense[i])
             assert np.array_equal(row, vec.to_dense())
+
+
+# A small pool, so terms repeat within and across documents; "the" is a
+# stop-word.
+TERM_POOL = ["dose", "flu", "mask", "shot", "the", "virus", "x1"]
+TOKEN_DOCS = st.lists(
+    st.lists(st.sampled_from(TERM_POOL), max_size=12), min_size=1, max_size=8
+)
+
+
+class TestTermCounts:
+    """A Counter of a document's tokens gives the same result as the list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=TOKEN_DOCS, min_df=st.sampled_from([1, 2]))
+    def test_vocabulary_and_vectors(self, docs, min_df):
+        counts = [Counter(tokens) for tokens in docs]
+        want = build_vocabulary(docs, min_df=min_df)
+        got = build_vocabulary(counts, min_df=min_df)
+        assert (got.terms, got.index, got.df, got.n_docs) == (
+            want.terms, want.index, want.df, want.n_docs
+        )
+        model = fit_tfidf(docs, want)
+        for tokens, count in zip(docs, counts):
+            w, g = transform(tokens, model), transform(count, model)
+            assert g.indices.dtype == w.indices.dtype
+            assert np.array_equal(g.indices, w.indices)
+            assert g.values.tobytes() == w.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(low=TOKEN_DOCS, other=TOKEN_DOCS)
+    def test_term_significance(self, low, other):
+        counted = (
+            [Counter(tokens) for tokens in low], [Counter(tokens) for tokens in other]
+        )
+        assert term_significance(*counted, TERM_POOL) == term_significance(
+            low, other, TERM_POOL
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(TERM_POOL), max_size=12), min_size=4, max_size=8
+        ),
+        family=st.sampled_from(["svm", "rf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_crossvalidation_scores(self, docs, family, seed):
+        labels = [i % 2 for i in range(len(docs))]
+
+        def scores(token_docs):
+            try:
+                f1s, accs = crossvalidate_criterion(
+                    token_docs, labels, family, k=2, seed=seed
+                )
+            except DataError as exc:
+                return str(exc)
+            return [v.hex() for v in f1s + accs]
+
+        assert scores([Counter(tokens) for tokens in docs]) == scores(docs)
