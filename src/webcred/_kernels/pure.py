@@ -6,7 +6,10 @@ computes all split statistics from integer class counts with the same
 floating-point expressions as ``kernels.c``, so both produce bit-identical
 trees.  The SVM kernel follows the same update sequence but accumulates
 dot products through BLAS, so its weights can differ from ``kernels.c``
-in the last few ulps.
+in the last few ulps.  ``objectives`` evaluates the SVM's primal and dual
+objectives; the pure kernel's per-epoch histories and the duality gap that
+``svm.train_linear_svm`` reports both come from it (``kernels.c`` keeps its
+own C twin for its histories).
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ def svm_fit(
                     alpha[i] = a_new
         epochs_run += 1
         if record_objective:
-            primal_hist.append(_primal(indptr, indices, data, y, w, wb, C))
-            dual_hist.append(float(np.sum(alpha) - 0.5 * (w @ w + wb * wb)))
+            primal, dual = objectives(indptr, indices, data, y, w, wb, C, alpha)
+            primal_hist.append(primal)
+            dual_hist.append(dual)
         if max_violation < tol:
             converged = True
             break
@@ -98,14 +102,19 @@ def svm_fit(
     )
 
 
-def _primal(indptr, indices, data, y, w, wb, C):
-    hinge = 0.0
-    for i in range(len(y)):
-        lo, hi = indptr[i], indptr[i + 1]
-        margin = y[i] * (data[lo:hi] @ w[indices[lo:hi]] + wb)
-        if margin < 1.0:
-            hinge += 1.0 - margin
-    return float(0.5 * (w @ w + wb * wb) + C * hinge)
+def objectives(indptr, indices, data, y, w, wb, C, alpha) -> tuple[float, float]:
+    """(primal, dual) objectives of the problem ``svm_fit`` solves, at
+    weights (w, wb) and dual variables ``alpha``, in O(nnz).
+
+    The primal is 1/2 (||w||^2 + wb^2) + C sum max(0, 1 - y_i (w.x_i + wb))
+    and the dual sum(alpha) - 1/2 (||w||^2 + wb^2).
+    """
+    n = len(y)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    scores = np.bincount(rows, weights=data * w[indices], minlength=n)
+    hinge = np.maximum(0.0, 1.0 - y * (scores + wb))
+    reg = 0.5 * (float(w @ w) + wb * wb)
+    return reg + C * float(np.sum(hinge)), float(np.sum(alpha)) - reg
 
 
 # Candidate features are scored in blocks of at most this many node values

@@ -12,6 +12,8 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -20,7 +22,9 @@ from . import ingest, models, stats, textprep
 from .errors import (
     DataError, open_input, open_output, output_transaction, read_csv, write_csv
 )
+from .forest import _check_n_estimators
 from .rng import stream_seed
+from .svm import _check_c
 # transform is unused here but stays bound: perfbench's tracer self-test
 # checks that tracing wraps cli.transform.
 from .textprep import build_vocabulary, clean_text, tokenize, transform
@@ -137,16 +141,21 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_cv(args) -> None:
-    _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise DataError(
+            f"--families must name one or more of {', '.join(models.FAMILIES)}"
+        )
     for family in families:
         if family not in models.FAMILIES:
             raise DataError(f"unknown family {family!r}")
+    params = _model_params(args)
+    _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     report = evalmod.cross_validate(
         token_docs,
         labels_by_criterion,
         families=families,
-        params_by_family=_model_params(args),
+        params_by_family=params,
         k=args.folds,
         seed=args.seed,
     )
@@ -154,11 +163,11 @@ def _cmd_cv(args) -> None:
 
 
 def _cmd_train(args) -> None:
+    params = _model_params(args)
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     cv_report = evalmod.read_cv_report_csv(args.cv_report)
     chosen = credibility.select_families(cv_report)
     tfidf, X = evalmod.fit_features(token_docs)
-    params = _model_params(args)
     trained = {}
     for criterion, family in chosen.items():
         trained[(criterion, family)] = models.train_model(
@@ -261,10 +270,10 @@ def _cmd_terms(args) -> None:
     scored = credibility.read_scores_csv(args.scores)
     urls = sorted(scored)
     docs = _docs_for_urls(args.docs, urls, "scored")
-    token_docs = [tokenize(clean_text(doc.text)) for doc in docs]
-    low = [t for u, t in zip(urls, token_docs) if scored[u].bucket == "low"]
-    other = [t for u, t in zip(urls, token_docs) if scored[u].bucket != "low"]
-    vocab = build_vocabulary(token_docs, min_df=args.min_df)
+    term_counts = [Counter(tokenize(clean_text(doc.text))) for doc in docs]
+    low = [t for u, t in zip(urls, term_counts) if scored[u].bucket == "low"]
+    other = [t for u, t in zip(urls, term_counts) if scored[u].bucket != "low"]
+    vocab = build_vocabulary(term_counts, min_df=args.min_df)
     ranked = stats.term_significance(low, other, vocab.terms)
     stats.write_terms_csv(ranked, args.out)
 
@@ -276,12 +285,7 @@ def _cmd_exposure(args) -> None:
     exposure.write_exposure_csv(shares, scored, args.out)
     report = exposure.bucket_share_report(shares, scored)
     report["top_exposures"] = [
-        {
-            "url": s.url,
-            "tweet_count": s.tweet_count,
-            "potential_exposure": s.potential_exposure,
-        }
-        for s in exposure.top_exposures(shares, args.top)
+        asdict(s) for s in exposure.top_exposures(shares, args.top)
     ]
     _write_json(report, args.report)
 
@@ -361,6 +365,10 @@ def _add_model_params(sub: argparse.ArgumentParser) -> None:
 
 
 def _model_params(args: argparse.Namespace) -> dict[str, dict]:
+    """The --svm-c and --rf-estimators values by family, each checked as its
+    trainer checks it, whichever families the run fits."""
+    _check_c(args.svm_c)
+    _check_n_estimators(args.rf_estimators)
     return {"svm": {"C": args.svm_c}, "rf": {"n_estimators": args.rf_estimators}}
 
 

@@ -9,7 +9,7 @@ families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -126,15 +126,10 @@ def build_ensemble(
 ) -> EnsembleModel:
     """Assemble the 7-entry ensemble from CV results and trained models."""
     chosen = select_families(cv_report)
-    stats = {
-        (row.criterion, row.family): {
-            "f1_mean": row.f1_mean,
-            "f1_std": row.f1_std,
-            "acc_mean": row.acc_mean,
-            "acc_std": row.acc_std,
-        }
-        for row in cv_report.rows
-    }
+    stats = {}
+    for row in cv_report.rows:
+        summary = asdict(row)
+        stats[summary.pop("criterion"), summary.pop("family")] = summary
     entries: dict[int, EnsembleEntry] = {}
     for criterion, family in chosen.items():
         model = models.get((criterion, family))

@@ -9,7 +9,7 @@ stratifies folds because several criteria are heavily imbalanced.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -93,7 +93,7 @@ class CvRow:
     acc_std: float
 
 
-CV_REPORT_HEADER = ("criterion", "family", "f1_mean", "f1_std", "acc_mean", "acc_std")
+CV_REPORT_HEADER = tuple(f.name for f in fields(CvRow))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -68,14 +68,7 @@ class Tree:
         return 1 if self.count1[node] >= self.count0[node] else 0
 
     def to_dict(self) -> dict:
-        return {
-            "feature": [int(v) for v in self.feature],
-            "threshold": [float(v) for v in self.threshold],
-            "left": [int(v) for v in self.left],
-            "right": [int(v) for v in self.right],
-            "count0": [int(v) for v in self.count0],
-            "count1": [int(v) for v in self.count1],
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tree":
@@ -83,8 +76,8 @@ class Tree:
         holds one number per node and each split node's children come after
         it, so that prediction always ends at a leaf."""
         arrays = {
-            key: json_numbers(data[key], key, integer=key != "threshold")
-            for key in ("feature", "threshold", "left", "right", "count0", "count1")
+            f.name: json_numbers(data[f.name], f.name, integer=f.name != "threshold")
+            for f in fields(cls)
         }
         n = len(arrays["feature"])
         if n == 0 or any(len(a) != n for a in arrays.values()):
@@ -234,6 +227,14 @@ def _build_tree(
     )
 
 
+def _check_n_estimators(n_estimators) -> None:
+    """Raise DataError unless n_estimators is an integer of at least 1."""
+    if isinstance(n_estimators, bool) or not isinstance(n_estimators, int):
+        raise DataError(f"n_estimators must be an integer, got {n_estimators!r}")
+    if n_estimators < 1:
+        raise DataError(f"n_estimators must be >= 1, got {n_estimators}")
+
+
 def train_random_forest(
     X: Sequence[SparseVector],
     y: Sequence[int],
@@ -247,8 +248,7 @@ def train_random_forest(
     With ``threads > 1`` trees train concurrently; tree i always uses the
     substream stream_seed(seed, i), so the forest is identical either way.
     """
-    if n_estimators < 1:
-        raise DataError(f"n_estimators must be >= 1, got {n_estimators}")
+    _check_n_estimators(n_estimators)
     _validate_training_set(X, y)
     dense = to_dense(X)
     labels = np.asarray(y, dtype=np.int8)

@@ -65,7 +65,7 @@ def _components(
         while queue:
             node = queue.popleft()
             component.append(node)
-            for neighbor in sorted(adjacency.get(node, ())):
+            for neighbor in adjacency.get(node, ()):
                 if neighbor not in seen:
                     seen.add(neighbor)
                     queue.append(neighbor)
@@ -104,12 +104,8 @@ def build_follower_graph(
         adjacency[follower].add(followee)
         adjacency[followee].add(follower)
     # _components discovers components in order of their smallest member,
-    # so keeping the first strictly-largest one applies the tie rule.
-    components = _components(eligible, adjacency)
-    best = components[0]
-    for component in components[1:]:
-        if len(component) > len(best):
-            best = component
+    # and max keeps the first of the largest, which applies the tie rule.
+    best = max(_components(eligible, adjacency), key=len)
     in_lcc = set(best)
     nodes = {
         u: GraphNode(
@@ -138,7 +134,6 @@ def classify_nodes(graph: FollowerGraph) -> FollowerGraph:
         counts = node.profile.bucket_counts
         is_high = counts["high"] >= 2 and counts["low"] == 0
         is_low = counts["low"] >= 2 and counts["high"] == 0
-        assert not (is_high and is_low)
         if is_high:
             node.node_class = HIGH_SHARER
         elif is_low:

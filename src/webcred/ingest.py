@@ -12,7 +12,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
 from urllib.parse import urlsplit, urlunsplit
@@ -97,13 +97,7 @@ class FilterReport:
         return self.non_english + self.too_short + self.duplicate + self.broken_empty
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "retained": self.retained,
-            "non_english": self.non_english,
-            "too_short": self.too_short,
-            "duplicate": self.duplicate,
-            "broken_empty": self.broken_empty,
-        }
+        return asdict(self)
 
 
 def contiguous_word_count(text: str) -> int:

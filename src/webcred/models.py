@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
-from .forest import ForestModel, train_random_forest
-from .svm import SvmModel, train_linear_svm
+from .forest import DEFAULT_N_ESTIMATORS, ForestModel, train_random_forest
+from .svm import DEFAULT_C, SvmModel, train_linear_svm
 from .textprep import SparseVector
 
 FAMILIES = ("svm", "rf")
@@ -17,13 +17,11 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
     "rf": {"n_estimators": [10, 50, 100]},
 }
 
+# Each family's one parameter, which is also the one a grid varies.
 DEFAULT_PARAMS: dict[str, dict] = {
-    "svm": {"C": 100.0},
-    "rf": {"n_estimators": 10},
+    "svm": {"C": DEFAULT_C},
+    "rf": {"n_estimators": DEFAULT_N_ESTIMATORS},
 }
-
-# The parameter a grid varies per family.
-GRID_PARAMS = {"svm": ("C",), "rf": ("n_estimators",)}
 
 
 def train_model(
@@ -36,14 +34,11 @@ def train_model(
     merged = dict(DEFAULT_PARAMS.get(family, {}))
     merged.update(params or {})
     if family == "svm":
-        if isinstance(merged["C"], bool) or not isinstance(merged["C"], (int, float)):
-            raise DataError(f"C must be a number, got {merged['C']!r}")
         return train_linear_svm(X, y, C=merged["C"], seed=seed)
     if family == "rf":
-        n_estimators = merged["n_estimators"]
-        if isinstance(n_estimators, bool) or not isinstance(n_estimators, int):
-            raise DataError(f"n_estimators must be an integer, got {n_estimators!r}")
-        return train_random_forest(X, y, n_estimators=n_estimators, seed=seed)
+        return train_random_forest(
+            X, y, n_estimators=merged["n_estimators"], seed=seed
+        )
     raise DataError(f"unknown model family {family!r} (expected one of {FAMILIES})")
 
 
@@ -86,7 +81,7 @@ def grid_search(
 ) -> GridResult:
     """Cross-validate every grid point on shared folds and keep the best one.
 
-    The grid maps the family's one parameter (``GRID_PARAMS``) to its
+    The grid maps the family's one parameter (``DEFAULT_PARAMS``) to its
     values, and the points are those values in the order given.  Best =
     highest mean F1, ties broken by higher mean accuracy, then by order.
     """
@@ -99,10 +94,10 @@ def grid_search(
     ):
         raise DataError(f"grid must map each parameter to a non-empty list: {grid!r}")
     for name in grid:
-        if name not in GRID_PARAMS[family]:
+        if name not in DEFAULT_PARAMS[family]:
             raise DataError(
                 f"{family} has no parameter {name!r} "
-                f"(expected one of {', '.join(GRID_PARAMS[family])})"
+                f"(expected one of {', '.join(DEFAULT_PARAMS[family])})"
             )
     ((name, values),) = grid.items()
     points = [{name: value} for value in values]

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError, write_csv
+from .textprep import document_frequency
 
 logger = logging.getLogger(__name__)
 
@@ -208,8 +209,7 @@ def term_significance(
     """
     if not docs_low or not docs_other:
         raise DataError("both document sets must be non-empty")
-    low_df = Counter(t for tokens in docs_low for t in set(tokens))
-    other_df = Counter(t for tokens in docs_other for t in set(tokens))
+    low_df, other_df = document_frequency(docs_low), document_frequency(docs_other)
     n_low, n_other = len(docs_low), len(docs_other)
     out: list[TermStat] = []
     for term in terms:
@@ -236,13 +236,11 @@ def term_significance(
 def write_terms_csv(stats: Sequence[TermStat], path: str | Path) -> None:
     """terms.csv: one ranked row per term, with a comment line naming the
     statistical choices so downstream readers need not guess."""
+    header = [f.name for f in fields(TermStat)]
     write_csv(
         path,
-        ("term", "a", "b", "c", "d", "odds_ratio", "ci_low", "ci_high", "p_value"),
-        (
-            (t.term, t.a, t.b, t.c, t.d, t.odds_ratio, t.ci_low, t.ci_high, t.p_value)
-            for t in stats
-        ),
+        header,
+        map(attrgetter(*header), stats),
         preamble="# two-sided fisher exact (point-probability rule); "
         "haldane-anscombe zero-cell correction; woolf 95% ci\n",
     )

@@ -16,6 +16,7 @@ within ``MAX_EPOCHS``; with s = 8 every one does.  The inner loop lives in
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,6 +108,15 @@ def _validate_training_set(X: Sequence[SparseVector], y: Sequence[int]) -> None:
         raise DataError("training needs both classes present")
 
 
+def _check_c(C) -> None:
+    """Raise DataError unless C is a positive finite number."""
+    if isinstance(C, bool) or not isinstance(C, (int, float)):
+        raise DataError(f"C must be a number, got {C!r}")
+    # An int beyond the float range would overflow in the kernel's C/s^2.
+    if not 0.0 < C <= sys.float_info.max:
+        raise DataError(f"C must be a positive finite number, got {C}")
+
+
 def train_linear_svm(
     X: Sequence[SparseVector],
     y: Sequence[int],
@@ -119,25 +129,30 @@ def train_linear_svm(
     Deterministic for a fixed seed.  Stops when the largest projected
     gradient over an epoch drops below ``TOLERANCE``, or after
     ``MAX_EPOCHS`` epochs, which is logged as a warning.  The objective
-    histories are in the units of the module docstring's objective.
+    histories are in the units of the module docstring's objective, and
+    ``relative_gap`` is (P - D) / max(1, |P|) for that objective P and its
+    dual D at the returned solution, both from ``_kernels.pure.objectives``.
     """
-    if not 0.0 < C < np.inf:
-        raise DataError(f"C must be a positive finite number, got {C}")
+    _check_c(C)
     _validate_training_set(X, y)
     indptr, indices, data, dim = to_csr(X)
     signs = np.where(np.asarray(y, dtype=np.float64) > 0.0, 1.0, -1.0)
     # The kernel's bias feature is 1.  On rows x*s with weights w/s and
     # C/s^2 its objective is the documented one divided by s^2, and its
     # projected gradient is that of a bias feature 1/s, so TOLERANCE keeps
-    # its meaning.
+    # its meaning.  The duality gap comes from s^2 times the kernel-scale
+    # objectives: s is a power of two, so each of their products and sums
+    # is the documented problem's divided exactly by s or s^2, and the gap
+    # is bit for bit the one computed on the documented scale.
     s = BIAS_SCALE
+    kernel_data, kernel_c = data * s, float(C) / (s * s)
     w, bias, alpha, epochs_run, converged, primal, dual = _kernels.svm_fit(
         indptr,
         indices,
-        data * s,
+        kernel_data,
         signs,
         dim,
-        float(C) / (s * s),
+        kernel_c,
         TOLERANCE,
         MAX_EPOCHS,
         seed,
@@ -145,7 +160,13 @@ def train_linear_svm(
     )
     weights = w * s
     bias = float(bias)
-    gap = _relative_gap(indptr, indices, data, signs, weights, bias, C, s, alpha)
+    p, d = (
+        s * s * v
+        for v in _kernels.pure.objectives(
+            indptr, indices, kernel_data, signs, w, bias, kernel_c, alpha
+        )
+    )
+    gap = (p - d) / max(1.0, abs(p))
     if not converged:
         logger.warning(
             "svm fit with C=%g stopped at %d epochs; relative duality gap %.3g",
@@ -162,17 +183,3 @@ def train_linear_svm(
         dual_history=[s * s * v for v in dual or []],
     )
 
-
-def _relative_gap(indptr, indices, data, signs, weights, bias, C, s, alpha) -> float:
-    """(P - D) / max(1, |P|) for the documented objective P with bias scale
-    ``s`` and its dual D = s^2 sum(alpha) - 1/2 (||w||^2 + s^2 b^2), in
-    O(nnz).  ``alpha`` are the kernel's dual variables, 1/s^2 times the
-    documented problem's.
-    """
-    rows = np.repeat(np.arange(len(signs)), np.diff(indptr))
-    scores = np.bincount(rows, weights=data * weights[indices], minlength=len(signs))
-    hinge = np.maximum(0.0, 1.0 - signs * (scores + bias))
-    reg = 0.5 * (float(weights @ weights) + (s * bias) ** 2)
-    primal = reg + C * float(np.sum(hinge))
-    dual = s * s * float(np.sum(alpha)) - reg
-    return (primal - dual) / max(1.0, abs(primal))

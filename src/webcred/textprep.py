@@ -147,6 +147,11 @@ class SparseVector:
         return float(np.abs(self.values).sum())
 
 
+def document_frequency(docs: Iterable[Iterable[str]]) -> Counter:
+    """The number of ``docs`` each term occurs in."""
+    return Counter(term for tokens in docs for term in set(tokens))
+
+
 def build_vocabulary(
     docs: Sequence[Sequence[str]],
     min_df: int = DEFAULT_MIN_DF,
@@ -160,10 +165,7 @@ def build_vocabulary(
     if not docs:
         raise DataError("cannot build a vocabulary from an empty corpus")
     stop = frozenset(stopwords)
-    df: dict[str, int] = {}
-    for tokens in docs:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
+    df = document_frequency(docs)
     kept = sorted(t for t, n in df.items() if n >= min_df and t not in stop)
     return Vocabulary(
         index={t: i for i, t in enumerate(kept)},

@@ -6,7 +6,9 @@ marker corpus is built with the stdlib random module.  The clean-text,
 dedupe and split oracles are the straightforward loops the library
 replaced with faster equivalents; the dedupe oracle shares only the
 library's shingle and Jaccard helpers, and the language oracle only the
-bundled profile texts.
+bundled profile texts.  The SVM objective oracles are the per-row primal
+loop and the documented-scale duality gap that the library replaced with
+one kernel-scale objective function.
 """
 
 from __future__ import annotations
@@ -183,6 +185,35 @@ def node_best_split_oracle(X, rows, feats, y):
                 thr = v[i]
             best_feat, best_thr, best_score = int(f), float(thr), float(weighted[j])
     return best_feat, best_thr, best_score
+
+
+def svm_primal_oracle(indptr, indices, data, y, w, wb, C):
+    """The per-row loop that ``_kernels.pure.objectives`` replaced with
+    one ``np.bincount`` over all nonzeros, kept verbatim as the reference:
+    the primal objective of the problem ``svm_fit`` solves."""
+    hinge = 0.0
+    for i in range(len(y)):
+        lo, hi = indptr[i], indptr[i + 1]
+        margin = y[i] * (data[lo:hi] @ w[indices[lo:hi]] + wb)
+        if margin < 1.0:
+            hinge += 1.0 - margin
+    return float(0.5 * (w @ w + wb * wb) + C * hinge)
+
+
+def svm_relative_gap_oracle(indptr, indices, data, signs, weights, bias, C, s, alpha):
+    """The relative duality gap as ``svm.train_linear_svm`` computed it on
+    the documented scale, before it took the gap from the kernel-scale
+    objectives, kept verbatim as the reference: (P - D) / max(1, |P|) for
+    the documented objective P with bias scale ``s`` and its dual
+    D = s^2 sum(alpha) - 1/2 (||w||^2 + s^2 b^2).  ``alpha`` are the
+    kernel's dual variables, 1/s^2 times the documented problem's."""
+    rows = np.repeat(np.arange(len(signs)), np.diff(indptr))
+    scores = np.bincount(rows, weights=data * weights[indices], minlength=len(signs))
+    hinge = np.maximum(0.0, 1.0 - signs * (scores + bias))
+    reg = 0.5 * (float(weights @ weights) + (s * bias) ** 2)
+    primal = reg + C * float(np.sum(hinge))
+    dual = s * s * float(np.sum(alpha)) - reg
+    return (primal - dual) / max(1.0, abs(primal))
 
 
 _NON_LETTER = re.compile(r"[^a-zà-öø-ÿœßñçа-яά-ώ]+")

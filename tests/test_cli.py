@@ -691,6 +691,8 @@ def test_stages_that_never_filter_run_no_language_detection(
         ("svm", "[1]", "non-empty list"),
         ("svm", '{"C": ["x"]}', "C must be a number, got 'x'"),
         ("svm", '{"C": [Infinity]}', "C must be a positive finite number, got inf"),
+        pytest.param("svm", '{"C": [1%s]}' % ("0" * 400),
+                     "C must be a positive finite number, got 1000", id="C-10**400"),
         ("rf", '{"n_estimators": [2.5]}', "n_estimators must be an integer, got 2.5"),
         ("svm", '{"C": [1.0], "c": [1, 2]}',
          "svm has no parameter 'c' (expected one of C)"),
@@ -733,6 +735,39 @@ def test_non_finite_svm_c_exits_1(pipeline, tmp_path, capsys, stage, value):
                *argv, "--out", f"{tmp_path}/out", "--manifest", f"{tmp_path}/m.json"])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err, "C must be a positive finite number")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.csv"]
+
+
+@pytest.mark.parametrize(
+    "stage, options, message",
+    [
+        ("cv", ["--families", "rf", "--svm-c", "nan"],
+         "C must be a positive finite number, got nan"),
+        ("cv", ["--families", "svm", "--rf-estimators", "0"],
+         "n_estimators must be >= 1, got 0"),
+        ("cv", ["--families", ","], "--families must name one or more of svm, rf"),
+        ("cv", ["--families", ""], "--families must name one or more of svm, rf"),
+        ("train", ["--svm-c", "-1"], "C must be a positive finite number, got -1.0"),
+        ("train", ["--rf-estimators", "0"], "n_estimators must be >= 1, got 0"),
+    ],
+)
+def test_invalid_model_option_exits_1_whichever_families_are_fitted(
+    pipeline, tmp_path, capsys, stage, options, message
+):
+    """The cv report picks, for every criterion, the family whose option is
+    valid, and a cv run fits only that family or none."""
+    fx = pipeline["fx"]
+    cv_report = tmp_path / "cv.csv"
+    write_cv_report(cv_report, "svm" if "--rf-estimators" in options else "rf")
+    argv = {
+        "cv": ["--folds", "3"],
+        "train": ["--cv-report", str(cv_report)],
+    }[stage]
+    rc = main([stage, "--docs", f"{fx}/webpages.jsonl", "--labels", f"{fx}/labels.csv",
+               *argv, *options, "--out", f"{tmp_path}/out",
+               "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, message)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.csv"]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import node_best_split_oracle
+from helpers import node_best_split_oracle, svm_primal_oracle
 from webcred import _kernels
 from webcred._kernels import pure
 
@@ -167,6 +167,31 @@ class TestSplitOracle:
         assert split_key(pure.node_best_split(*problem)) == split_key(
             node_best_split_oracle(*problem)
         )
+
+
+class TestSvmObjectives:
+    def test_matches_the_per_row_loop(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+            # Rows may be empty, as the vector of a page with no vocabulary
+            # term is.
+            counts = rng.integers(0, dim + 1, size=n)
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            indices = np.concatenate(
+                [np.sort(rng.choice(dim, c, replace=False)) for c in counts]
+            ).astype(np.int32)
+            data = rng.uniform(0.0, 2.0, size=len(indices))
+            y = rng.choice([-1.0, 1.0], size=n)
+            w = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+            wb = float(rng.normal())
+            C = 10.0 ** rng.uniform(-5, 5)
+            alpha = rng.uniform(0.0, C, size=n)
+            primal, dual = pure.objectives(indptr, indices, data, y, w, wb, C, alpha)
+            assert primal == pytest.approx(
+                svm_primal_oracle(indptr, indices, data, y, w, wb, C), rel=1e-12
+            )
+            assert dual == float(np.sum(alpha) - 0.5 * (w @ w + wb * wb))
 
 
 class TestSvmEquivalence:

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import svm_relative_gap_oracle
 import webcred.models
 import webcred.svm
 from webcred import _kernels
@@ -180,6 +181,41 @@ class TestSolverProperties:
         assert model.relative_gap == pytest.approx(
             gap / max(1.0, model.primal_history[-1]), rel=1e-6, abs=1e-12
         )
+
+    @pytest.mark.parametrize("impl", ["pure", "compiled"])
+    def test_relative_gap_equals_the_documented_scale_formula(
+        self, monkeypatch, request, impl
+    ):
+        if impl == "pure":
+            kernel = _kernels.pure
+        else:
+            kernel = request.getfixturevalue("compiled_kernels")
+        fits = []
+
+        def recording_fit(*args):
+            fits.append(kernel.svm_fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(_kernels, "svm_fit", recording_fit)
+        rng = random.Random(900)
+        for trial in range(120):
+            X, y = random_separable_problem(rng, rng.randint(2, 25), rng.randint(1, 6))
+            # Flipped labels make some problems inseparable, so that the
+            # hinge term is non-zero at the solution.
+            y = [1 - v if rng.random() < 0.2 else v for v in y]
+            if len(set(y)) < 2:
+                continue
+            C = 10.0 ** rng.uniform(-5, 5)
+            cap = rng.choice([1, 2, 10, 100, webcred.svm.MAX_EPOCHS])
+            monkeypatch.setattr(webcred.svm, "MAX_EPOCHS", cap)
+            model = train_linear_svm(X, y, C=C, seed=trial)
+            indptr, indices, data, _dim = to_csr(X)
+            signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
+            want = svm_relative_gap_oracle(
+                indptr, indices, data, signs, model.weights, model.bias,
+                C, BIAS_SCALE, fits[-1][2],
+            )
+            assert model.relative_gap.hex() == want.hex()
 
     def test_epoch_cap_is_reported_and_logged(self, monkeypatch, caplog):
         monkeypatch.setattr(webcred.svm, "MAX_EPOCHS", 1)
