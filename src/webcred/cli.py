@@ -13,7 +13,8 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -74,7 +75,7 @@ def _load_docs(path: str | Path) -> dict[str, ingest.WebDocument]:
         return {doc.url: doc for doc in ingest.load_webpages(fh)}
 
 
-def _load_tweets(path: str | Path) -> tuple[list[ingest.TweetRecord], int]:
+def _load_tweets(path: str | Path) -> tuple[ingest.TweetTable, int]:
     with open_input(path) as fh:
         return ingest.parse_tweets(fh)
 
@@ -124,8 +125,8 @@ def _cmd_ingest(args) -> None:
     deduped, report = _filtered_docs(args.webpages, args.min_words, args.jaccard)
     payload = report.to_dict()
     if args.tweets:
-        records, skipped = _load_tweets(args.tweets)
-        payload["tweets_parsed"] = len(records)
+        table, skipped = _load_tweets(args.tweets)
+        payload["tweets_parsed"] = len(table)
         payload["tweets_skipped"] = skipped
     if args.reference_urls:
         with open_input(args.reference_urls) as fh:
@@ -187,7 +188,7 @@ def _cmd_grid(args) -> None:
         raise DataError(f"criterion must be 1..7, got {args.criterion}")
     try:
         grid = json.loads(args.grid) if args.grid else None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"--grid is not JSON: {exc}") from None
     result = models.grid_search(
         token_docs,
@@ -197,13 +198,14 @@ def _cmd_grid(args) -> None:
         k=args.folds,
         seed=args.seed,
     )
+    params, *summary = (f.name for f in fields(models.GridPoint))
+    summary_values = attrgetter(*summary)
     write_csv(
         args.out,
-        ("criterion", "family", "params", "f1_mean", "f1_std",
-         "acc_mean", "acc_std", "selected"),
+        ("criterion", "family", params, *summary, "selected"),
         (
             (args.criterion, args.family, json.dumps(p.params, sort_keys=True),
-             p.f1_mean, p.f1_std, p.acc_mean, p.acc_std, int(i == result.best_index))
+             *summary_values(p), int(i == result.best_index))
             for i, p in enumerate(result.table)
         ),
     )
@@ -211,12 +213,13 @@ def _cmd_grid(args) -> None:
 
 def _load_model(path: str | Path):
     with open_input(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(
-                f"{path}:{exc.lineno}: not a model file: {exc.msg}"
-            ) from None
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: not a model file: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: not a model file: {exc}") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: not a model file: expected a JSON object")
     try:
@@ -253,9 +256,7 @@ def _cmd_kappa(args) -> None:
 
     def parse(row: list[str]) -> tuple[str, str, str]:
         subject, rater, category = row
-        if (subject, rater) in seen:
-            raise DataError(f"rater {rater!r} rated subject {subject!r} twice")
-        seen.add((subject, rater))
+        stats.check_first_rating(seen, subject, rater)
         return subject, rater, category
 
     rows = read_csv(args.ratings, ("subject", "rater", "category"), parse)

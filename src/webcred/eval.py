@@ -119,14 +119,16 @@ def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport
     return CvReport(rows=rows, folds=folds)
 
 
-def fold_summary(f1s: Sequence[float], accs: Sequence[float]) -> dict[str, float]:
-    """Mean and population (divide-by-N) standard deviation of fold metrics."""
-    return {
-        "f1_mean": float(np.mean(f1s)),
-        "f1_std": float(np.std(f1s)),
-        "acc_mean": float(np.mean(accs)),
-        "acc_std": float(np.std(accs)),
-    }
+def fold_summary(
+    f1s: Sequence[float], accs: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """Mean and population (divide-by-N) standard deviation of the fold F1
+    scores, then of the fold accuracies: the values of the summary fields
+    that end ``CvRow`` and ``models.GridPoint``, in their order."""
+    return (
+        float(np.mean(f1s)), float(np.std(f1s)),
+        float(np.mean(accs)), float(np.std(accs)),
+    )
 
 
 def fit_features(
@@ -226,7 +228,5 @@ def cross_validate(
             token_docs, labels_by_criterion[criterion], candidates, k=k, seed=seed
         )
         for (family, _params), (f1s, accs) in zip(candidates, scores):
-            rows.append(
-                CvRow(criterion=criterion, family=family, **fold_summary(f1s, accs))
-            )
+            rows.append(CvRow(criterion, family, *fold_summary(f1s, accs)))
     return CvReport(rows=rows, folds=k)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .credibility import BUCKETS, N_CRITERIA, CredibilityResult
 from .errors import DataError, write_csv
-from .ingest import TweetRecord
+from .ingest import TweetTable
 
 
 @dataclass
@@ -43,21 +43,22 @@ class UserProfile:
 
 
 def aggregate_shares(
-    tweets: Sequence[TweetRecord], scored: dict[str, CredibilityResult]
+    table: TweetTable, scored: dict[str, CredibilityResult]
 ) -> list[ShareRecord]:
     """One ShareRecord per scored url, sorted by url.
 
     A tweet linking k distinct scored urls increments k records; retweets
     count as posts by the retweeting user with that user's own follower
-    count.  Scored urls never tweeted get zero-count records.
+    count.  Scored urls never tweeted get zero-count records.  The sums
+    are Python ints, exact for any follower count.
     """
     counts = {url: 0 for url in scored}
     exposure = {url: 0 for url in scored}
-    for tweet in tweets:
-        for url in set(tweet.urls):
+    for follower_count, urls in zip(table.follower_counts, table.urls):
+        for url in set(urls):
             if url in counts:
                 counts[url] += 1
-                exposure[url] += tweet.follower_count
+                exposure[url] += follower_count
     return [
         ShareRecord(url=url, tweet_count=counts[url], potential_exposure=exposure[url])
         for url in sorted(scored)
@@ -146,7 +147,7 @@ def top_exposures(shares: Sequence[ShareRecord], n: int) -> list[ShareRecord]:
 
 
 def build_user_profiles(
-    tweets: Sequence[TweetRecord], scored: dict[str, CredibilityResult]
+    table: TweetTable, scored: dict[str, CredibilityResult]
 ) -> dict[str, UserProfile]:
     """Per-user sharing profiles over the scored urls.
 
@@ -156,13 +157,15 @@ def build_user_profiles(
     corpus may span follower-count changes.
     """
     profiles: dict[str, UserProfile] = {}
-    for tweet in tweets:
-        profile = profiles.get(tweet.user_id)
+    for user_id, follower_count, urls in zip(
+        table.user_ids, table.follower_counts, table.urls
+    ):
+        profile = profiles.get(user_id)
         if profile is None:
-            profile = UserProfile(user_id=tweet.user_id)
-            profiles[tweet.user_id] = profile
-        profile.follower_count = max(profile.follower_count, tweet.follower_count)
-        for url in sorted(set(tweet.urls)):
+            profile = UserProfile(user_id=user_id)
+            profiles[user_id] = profile
+        profile.follower_count = max(profile.follower_count, follower_count)
+        for url in sorted(set(urls)):
             result = scored.get(url)
             if result is not None:
                 profile.shared_scores.append(result.score)

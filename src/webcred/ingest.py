@@ -32,22 +32,18 @@ _PARAGRAPH_SPLIT = re.compile(r"\n[ \t]*\n+")
 
 
 @dataclass(frozen=True)
-class TweetRecord:
-    """One tweet or retweet with the posting user's follower count."""
+class TweetTable:
+    """Parsed tweets as parallel columns, one entry per kept line in input
+    order: the tweet and posting user ids, the user's follower count, and
+    the tuple of the tweet's normalized URLs."""
 
-    tweet_id: str
-    user_id: str
-    follower_count: int
-    urls: tuple[str, ...]
-    is_retweet: bool
-    retweet_of: str | None
-    timestamp: datetime
+    tweet_ids: list[str]
+    user_ids: list[str]
+    follower_counts: list[int]
+    urls: list[tuple[str, ...]]
 
-    def __post_init__(self):
-        if self.follower_count < 0:
-            raise DataError(f"tweet {self.tweet_id}: negative follower_count")
-        if self.is_retweet != (self.retweet_of is not None):
-            raise DataError(f"tweet {self.tweet_id}: retweet_of must be present iff is_retweet")
+    def __len__(self) -> int:
+        return len(self.tweet_ids)
 
 
 @dataclass
@@ -150,20 +146,31 @@ def normalize_url_checked(raw: str) -> tuple[str, bool]:
     return urlunsplit((scheme, netloc, path, query, "")), True
 
 
-def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[list[TweetRecord], int]:
-    """Parse line-delimited tweet records; returns (records, skipped count).
+def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
+    """Parse line-delimited tweet records; returns (table, skipped count).
+
+    A non-blank line is kept when it is a JSON object whose ``tweet_id``
+    (as a string) is new, whose ``follower_count`` is a non-negative
+    integer (not a bool), whose ``urls`` is a list of non-empty strings,
+    with ``user_id`` and ``is_retweet`` present, ``retweet_of`` given (not
+    null) exactly when ``is_retweet`` is true, and a ``timestamp`` that
+    ``_parse_timestamp`` accepts; the timestamp is checked, not kept.
+    Any other line is skipped and counted.  Raises CorruptInputError when
+    more than half of the non-blank lines are malformed.
 
     Each URL is normalized on the way in, so it matches the keys of the
     scored documents; a URL repeated across tweets is normalized once, and
-    its records share the one normalized string.  Malformed lines (bad
-    JSON, missing/mistyped fields, an empty URL, invariant violations) are
-    skipped and counted.  Raises CorruptInputError when more than half of
-    the non-blank lines are malformed.
+    its tweets share the one normalized string.
     """
-    records: list[TweetRecord] = []
+    tweet_ids: list[str] = []
+    user_ids: list[str] = []
+    follower_counts: list[int] = []
+    url_tuples: list[tuple[str, ...]] = []
     skipped = 0
     total = 0
     seen_ids: set[str] = set()
+    # Raw URL -> normalized form; only non-empty strings get in, so a hit
+    # for every URL of a line means that they all pass.
     normalized: dict[str, str] = {}
     for line in stream:
         line = line.strip()
@@ -171,45 +178,50 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[list[TweetRecord], int
             continue
         total += 1
         try:
-            records.append(_tweet_from_json(line, seen_ids, normalized))
-        except (json.JSONDecodeError, DataError, KeyError, TypeError, ValueError):
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise DataError("tweet record is not an object")
+            tweet_id = str(obj["tweet_id"])
+            follower_count = obj["follower_count"]
+            urls = obj["urls"]
+            if (
+                tweet_id in seen_ids
+                or not isinstance(follower_count, int)
+                or isinstance(follower_count, bool)
+                or follower_count < 0
+                or not isinstance(urls, list)
+                or bool(obj["is_retweet"]) != (obj.get("retweet_of") is not None)
+            ):
+                raise DataError("invalid tweet record")
+            user_id = str(obj["user_id"])
+            _parse_timestamp(obj["timestamp"])
+            try:
+                normalized_urls = tuple([normalized[raw] for raw in urls])
+            except (KeyError, TypeError):
+                normalized_urls = _normalize_new_urls(urls, normalized)
+        except (DataError, KeyError, TypeError, ValueError, RecursionError):
             skipped += 1
+            continue
+        seen_ids.add(tweet_id)
+        tweet_ids.append(tweet_id)
+        user_ids.append(user_id)
+        follower_counts.append(follower_count)
+        url_tuples.append(normalized_urls)
     if total and skipped * 2 > total:
         raise CorruptInputError(f"{skipped}/{total} tweet lines malformed")
-    return records, skipped
+    return TweetTable(tweet_ids, user_ids, follower_counts, url_tuples), skipped
 
 
-def _tweet_from_json(
-    line: str, seen_ids: set[str], normalized: dict[str, str]
-) -> TweetRecord:
-    """One tweet record; ``normalized`` maps each raw URL seen so far to its
-    normalized form and gains the URLs of this line."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise DataError("tweet record is not an object")
-    tweet_id = str(obj["tweet_id"])
-    if tweet_id in seen_ids:
-        raise DataError(f"duplicate tweet_id {tweet_id}")
-    follower_count = obj["follower_count"]
-    if not isinstance(follower_count, int) or isinstance(follower_count, bool):
-        raise DataError("follower_count must be an integer")
-    urls = obj["urls"]
-    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
+def _normalize_new_urls(urls: list, normalized: dict[str, str]) -> tuple[str, ...]:
+    """The normalized ``urls`` of one line, some of them not yet in
+    ``normalized``, which gains them; raises DataError unless every URL is
+    a non-empty string."""
+    if not all(isinstance(raw, str) for raw in urls):
         raise DataError("urls must be a list of strings")
     for raw in urls:
         if raw not in normalized:
             normalized[raw] = normalize_url(raw)
-    record = TweetRecord(
-        tweet_id=tweet_id,
-        user_id=str(obj["user_id"]),
-        follower_count=follower_count,
-        urls=tuple(normalized[u] for u in urls),
-        is_retweet=bool(obj["is_retweet"]),
-        retweet_of=None if obj.get("retweet_of") is None else str(obj["retweet_of"]),
-        timestamp=_parse_timestamp(obj["timestamp"]),
-    )
-    seen_ids.add(tweet_id)
-    return record
+    return tuple([normalized[raw] for raw in urls])
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -219,7 +231,11 @@ def _parse_timestamp(value: str) -> datetime:
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        # A date in year 1 or 9999 whose UTC offset moves it out of range.
+        raise DataError("timestamp out of range") from None
 
 
 def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
@@ -239,7 +255,7 @@ def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{source}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError(

@@ -53,6 +53,9 @@ def model_from_dict(data: dict) -> SvmModel | ForestModel:
 
 @dataclass
 class GridPoint:
+    """One grid point's parameters and its fold summary, whose fields are
+    those that end ``eval.CvRow``."""
+
     params: dict
     f1_mean: float
     f1_std: float
@@ -105,7 +108,7 @@ def grid_search(
         token_docs, labels, [(family, params) for params in points], k=k, seed=seed
     )
     table = [
-        GridPoint(params=params, **fold_summary(f1s, accs))
+        GridPoint(params, *fold_summary(f1s, accs))
         for params, (f1s, accs) in zip(points, scores)
     ]
     # max keeps the first of equal keys, which is the enumeration-order tie rule.

@@ -246,6 +246,14 @@ def write_terms_csv(stats: Sequence[TermStat], path: str | Path) -> None:
     )
 
 
+def check_first_rating(seen: set[tuple[str, str]], subject: str, rater: str) -> None:
+    """Add (subject, rater) to ``seen``; raises DataError if it is there
+    already, since each rater rates a subject at most once."""
+    if (subject, rater) in seen:
+        raise DataError(f"rater {rater!r} rated subject {subject!r} twice")
+    seen.add((subject, rater))
+
+
 def ratings_matrix_from_rows(
     rows: Sequence[tuple[str, str, str]]
 ) -> tuple[list[list[int]], list[str], list[str]]:
@@ -258,10 +266,7 @@ def ratings_matrix_from_rows(
     by_subject: dict[str, dict[str, int]] = {}
     categories: set[str] = set()
     for subject, rater, category in rows:
-        key = (subject, rater)
-        if key in seen:
-            raise DataError(f"rater {rater!r} rated subject {subject!r} twice")
-        seen.add(key)
+        check_first_rating(seen, subject, rater)
         categories.add(category)
         by_subject.setdefault(subject, {})
         by_subject[subject][category] = by_subject[subject].get(category, 0) + 1

@@ -8,22 +8,27 @@ replaced with faster equivalents; the dedupe oracle shares only the
 library's shingle and Jaccard helpers, and the language oracle only the
 bundled profile texts.  The SVM objective oracles are the per-row primal
 loop and the documented-scale duality gap that the library replaced with
-one kernel-scale objective function.
+one kernel-scale objective function.  The tweet oracle is the record
+parser that the columnar one replaced; it shares only ``normalize_url``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
+from datetime import datetime, timezone
 from functools import lru_cache
+from typing import Iterable, TextIO
 
 import numpy as np
 
 from webcred._langdata import PROFILE_TEXTS
-from webcred.errors import DataError
-from webcred.ingest import WebDocument, _shingles, jaccard
+from webcred.errors import CorruptInputError, DataError
+from webcred.ingest import WebDocument, _shingles, jaccard, normalize_url
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -264,3 +269,90 @@ def detect_language_oracle(text: str) -> tuple[str, float]:
     if best_sim == 0.0:
         return "und", 0.0
     return best_lang, best_sim
+
+
+@dataclass(frozen=True)
+class TweetRecord:
+    """One tweet or retweet with the posting user's follower count."""
+
+    tweet_id: str
+    user_id: str
+    follower_count: int
+    urls: tuple[str, ...]
+    is_retweet: bool
+    retweet_of: str | None
+    timestamp: datetime
+
+    def __post_init__(self):
+        if self.follower_count < 0:
+            raise DataError(f"tweet {self.tweet_id}: negative follower_count")
+        if self.is_retweet != (self.retweet_of is not None):
+            raise DataError(f"tweet {self.tweet_id}: retweet_of must be present iff is_retweet")
+
+
+def parse_tweets_oracle(stream: Iterable[str] | TextIO) -> tuple[list[TweetRecord], int]:
+    """The record parser that ``ingest.parse_tweets`` replaced with one that
+    fills columns, kept verbatim as the reference except that it also
+    skips a line whose timestamp overflows on conversion to UTC
+    (OverflowError) or whose JSON nests too deeply (RecursionError)."""
+    records: list[TweetRecord] = []
+    skipped = 0
+    total = 0
+    seen_ids: set[str] = set()
+    normalized: dict[str, str] = {}
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        total += 1
+        try:
+            records.append(_tweet_from_json(line, seen_ids, normalized))
+        except (json.JSONDecodeError, DataError, KeyError, TypeError, ValueError,
+                OverflowError, RecursionError):
+            skipped += 1
+    if total and skipped * 2 > total:
+        raise CorruptInputError(f"{skipped}/{total} tweet lines malformed")
+    return records, skipped
+
+
+def _tweet_from_json(
+    line: str, seen_ids: set[str], normalized: dict[str, str]
+) -> TweetRecord:
+    """One tweet record; ``normalized`` maps each raw URL seen so far to its
+    normalized form and gains the URLs of this line."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise DataError("tweet record is not an object")
+    tweet_id = str(obj["tweet_id"])
+    if tweet_id in seen_ids:
+        raise DataError(f"duplicate tweet_id {tweet_id}")
+    follower_count = obj["follower_count"]
+    if not isinstance(follower_count, int) or isinstance(follower_count, bool):
+        raise DataError("follower_count must be an integer")
+    urls = obj["urls"]
+    if not isinstance(urls, list) or not all(isinstance(u, str) for u in urls):
+        raise DataError("urls must be a list of strings")
+    for raw in urls:
+        if raw not in normalized:
+            normalized[raw] = normalize_url(raw)
+    record = TweetRecord(
+        tweet_id=tweet_id,
+        user_id=str(obj["user_id"]),
+        follower_count=follower_count,
+        urls=tuple(normalized[u] for u in urls),
+        is_retweet=bool(obj["is_retweet"]),
+        retweet_of=None if obj.get("retweet_of") is None else str(obj["retweet_of"]),
+        timestamp=_parse_timestamp(obj["timestamp"]),
+    )
+    seen_ids.add(tweet_id)
+    return record
+
+
+def _parse_timestamp(value: str) -> datetime:
+    # Python 3.10's fromisoformat rejects a trailing "Z".
+    if not isinstance(value, str):
+        raise DataError("timestamp must be an ISO-8601 string")
+    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)

@@ -52,6 +52,11 @@ TWEET_LINES = [
     "{not json",
 ]
 
+# JSON that Python's decoder cannot turn into a value: nested past the
+# recursion limit, and an integer past the 4300-digit conversion limit.
+DEEP_JSON = "[" * 100_000
+LONG_INT = "1" + "0" * 5000
+
 FOLLOWER_LINES = [
     "follower_id,followee_id",
     "u2,u1",
@@ -428,6 +433,10 @@ class TestExitCodes:
             ('{"url": "", "text": "words"}', "webpages.jsonl:2: empty URL"),
             ('{"url": "HTTP://A.example.org", "text": "words"}',
              "webpages.jsonl:2: duplicate url http://a.example.org/ (first on line 1)"),
+            pytest.param(DEEP_JSON, "webpages.jsonl:2: invalid JSON: maximum recursion",
+                         id="deep"),
+            pytest.param('{"url": "http://b.example.org/", "text": %s}' % LONG_INT,
+                         "webpages.jsonl:2: invalid JSON: Exceeds the limit", id="long-int"),
         ],
     )
     def test_malformed_webpage_line_exits_1(self, tmp_path, capsys, bad_line, message):
@@ -449,6 +458,10 @@ class TestExitCodes:
             ('{"schema_version": 1}\n', "model.json: not a model file"),
             ('{"schema_version": 1, "tfidf": []}\n', "model.json: not a model file"),
             ("{}\n", "model.json: unsupported model schema_version"),
+            pytest.param(DEEP_JSON, "model.json: not a model file: maximum recursion",
+                         id="deep"),
+            pytest.param('{"schema_version": %s}' % LONG_INT,
+                         "model.json: not a model file: Exceeds the limit", id="long-int"),
         ],
     )
     def test_non_model_file_exits_1(self, tmp_path, capsys, content, message):
@@ -637,6 +650,34 @@ def test_tweet_with_an_empty_url_is_skipped(pipeline, tmp_path):
     assert report["tweets_skipped"] == 2  # the "{not json" line and t99
 
 
+@pytest.mark.parametrize(
+    "timestamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+)
+def test_tweet_with_a_timestamp_out_of_range_in_utc_is_skipped(
+    pipeline, tmp_path, timestamp
+):
+    fx, out = pipeline["fx"], pipeline["out"]
+    bad = json.loads(TWEET_LINES[0]) | {"tweet_id": "t99", "timestamp": timestamp}
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("\n".join(TWEET_LINES + [json.dumps(bad)]) + "\n")
+    argv = ["--tweets", str(tweets), "--scores", f"{out}/scores.csv",
+            "--manifest", f"{tmp_path}/m.json"]
+    assert main(["exposure", "--out", f"{tmp_path}/exposure.csv",
+                 "--report", f"{tmp_path}/bucket_report.json"] + argv) == 0
+    assert (tmp_path / "exposure.csv").read_bytes() == (
+        out / "exposure.csv"
+    ).read_bytes()
+    assert main(["graph", "--followers", f"{fx}/followers.csv", "--min-links", "1",
+                 "--dot", f"{tmp_path}/net.dot"] + argv) == 0
+    assert (tmp_path / "net.dot").read_bytes() == (out / "net.dot").read_bytes()
+    assert main(["ingest", "--webpages", f"{fx}/webpages.jsonl",
+                 "--tweets", str(tweets), "--min-words", "50",
+                 "--report", f"{tmp_path}/filter_report.json",
+                 "--manifest", f"{tmp_path}/m.json"]) == 0
+    report = json.loads((tmp_path / "filter_report.json").read_text())
+    assert report["tweets_skipped"] == 2  # the "{not json" line and t99
+
+
 def test_score_writes_utf8_under_an_ascii_locale(pipeline, tmp_path):
     """Outputs are UTF-8 whatever the locale's preferred encoding."""
     fx, out = pipeline["fx"], pipeline["out"]
@@ -697,6 +738,9 @@ def test_stages_that_never_filter_run_no_language_detection(
         ("svm", '{"C": [1.0], "c": [1, 2]}',
          "svm has no parameter 'c' (expected one of C)"),
         ("rf", '{"C": [1.0]}', "rf has no parameter 'C' (expected one of n_estimators)"),
+        pytest.param("svm", DEEP_JSON, "--grid is not JSON: maximum recursion", id="deep"),
+        pytest.param("svm", '{"C": [%s]}' % LONG_INT, "--grid is not JSON: Exceeds the limit",
+                     id="long-int"),
     ],
 )
 def test_invalid_grid_exits_1(pipeline, tmp_path, capsys, family, grid, message):

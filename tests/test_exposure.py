@@ -1,5 +1,5 @@
 import random
-from datetime import datetime, timezone
+from typing import NamedTuple
 
 import pytest
 
@@ -13,20 +13,38 @@ from webcred.exposure import (
     top_exposures,
     write_exposure_csv,
 )
-from webcred.ingest import TweetRecord
+from webcred.ingest import TweetTable
 
-T0 = datetime(2019, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
+
+class Tweet(NamedTuple):
+    """One row of a tweet table."""
+
+    tweet_id: str
+    user_id: str
+    follower_count: int
+    urls: tuple[str, ...]
+
+
+class Tweets(TweetTable):
+    """A TweetTable that also iterates over its rows, which the
+    brute-force checks read one tweet at a time."""
+
+    def __iter__(self):
+        return map(Tweet, self.tweet_ids, self.user_ids, self.follower_counts, self.urls)
 
 
 def make_tweet(tweet_id, user_id, followers, urls, retweet_of=None):
-    return TweetRecord(
-        tweet_id=tweet_id,
-        user_id=user_id,
-        follower_count=followers,
-        urls=tuple(urls),
-        is_retweet=retweet_of is not None,
-        retweet_of=retweet_of,
-        timestamp=T0,
+    # parse_tweets checks retweet_of but keeps nothing of it.
+    return Tweet(tweet_id, user_id, followers, tuple(urls))
+
+
+def table(tweets):
+    """The table of these tweets, in order, as parse_tweets gives it."""
+    return Tweets(
+        tweet_ids=[t.tweet_id for t in tweets],
+        user_ids=[t.user_id for t in tweets],
+        follower_counts=[t.follower_count for t in tweets],
+        urls=[t.urls for t in tweets],
     )
 
 
@@ -56,7 +74,7 @@ def random_tweets(rng, n_tweets, url_pool):
                 retweet_of=retweet_of,
             )
         )
-    return tweets
+    return table(tweets)
 
 
 class TestAggregateShares:
@@ -87,12 +105,12 @@ class TestAggregateShares:
             "http://b.org/": score_from_labels(labels_for_score(6)),
             "http://never.org/": score_from_labels(labels_for_score(3)),
         }
-        tweets = [
+        tweets = table([
             make_tweet("t0", "alice", 100, ["http://a.org/"]),
             make_tweet("t1", "bob", 30, ["http://a.org/", "http://b.org/"]),
             make_tweet("t2", "carol", 7, ["http://a.org/"], retweet_of="t0"),
             make_tweet("t3", "dave", 1000, ["http://ignored.org/"]),
-        ]
+        ])
         by_url = {s.url: s for s in aggregate_shares(tweets, scored)}
         assert by_url["http://a.org/"].tweet_count == 3
         assert by_url["http://a.org/"].potential_exposure == 100 + 30 + 7
@@ -103,17 +121,28 @@ class TestAggregateShares:
 
     def test_duplicate_url_within_one_tweet_counts_once(self):
         scored = {"http://a.org/": score_from_labels(labels_for_score(5))}
-        tweets = [make_tweet("t0", "alice", 11, ["http://a.org/"] * 3)]
+        tweets = table([make_tweet("t0", "alice", 11, ["http://a.org/"] * 3)])
         (share,) = aggregate_shares(tweets, scored)
         assert share.tweet_count == 1
         assert share.potential_exposure == 11
+
+    def test_sums_stay_exact_past_float64_and_int64(self):
+        scored = {"http://a.org/": score_from_labels(labels_for_score(2))}
+        followers = [2**53 + 1, 2**63, 1, 10**400]
+        tweets = table([
+            make_tweet(f"t{i}", "alice", n, ["http://a.org/"])
+            for i, n in enumerate(followers)
+        ])
+        (share,) = aggregate_shares(tweets, scored)
+        assert share.potential_exposure == sum(followers)
+        assert build_user_profiles(tweets, scored)["alice"].follower_count == 10**400
 
     def test_no_tweets_yields_all_zero_records(self):
         scored = {
             "http://a.org/": score_from_labels(labels_for_score(0)),
             "http://b.org/": score_from_labels(labels_for_score(7)),
         }
-        shares = aggregate_shares([], scored)
+        shares = aggregate_shares(table([]), scored)
         assert [(s.url, s.tweet_count, s.potential_exposure) for s in shares] == [
             ("http://a.org/", 0, 0),
             ("http://b.org/", 0, 0),
@@ -155,7 +184,7 @@ class TestBucketShareReport:
 
     def test_zero_totals_report_null_proportions(self):
         scored = {"http://a.org/": score_from_labels(labels_for_score(2))}
-        report = bucket_share_report(aggregate_shares([], scored), scored)
+        report = bucket_share_report(aggregate_shares(table([]), scored), scored)
         assert report["total_tweets"] == 0
         assert report["total_exposure"] == 0
         assert all(v is None for v in report["tweet_proportions"].values())
@@ -168,12 +197,12 @@ class TestBucketShareReport:
             "http://c.org/": score_from_labels(labels_for_score(2)),
             "http://d.org/": score_from_labels(labels_for_score(6)),
         }
-        tweets = [
+        tweets = table([
             make_tweet("t0", "alice", 10, ["http://a.org/"]),
             make_tweet("t1", "bob", 30, ["http://b.org/"]),
             make_tweet("t2", "carol", 50, ["http://c.org/"]),
             make_tweet("t3", "dave", 500, ["http://d.org/"]),
-        ]
+        ])
         report = bucket_share_report(aggregate_shares(tweets, scored), scored)
         dist = report["exposure_distribution_by_bucket"]
         low = dist["low"]
@@ -242,11 +271,11 @@ class TestTopExposures:
 class TestUserProfiles:
     def test_follower_count_is_maximum_across_tweets(self):
         scored = {"http://a.org/": score_from_labels(labels_for_score(4))}
-        tweets = [
+        tweets = table([
             make_tweet("t0", "alice", 120, ["http://a.org/"]),
             make_tweet("t1", "alice", 80, ["http://a.org/"]),
             make_tweet("t2", "alice", 200, []),
-        ]
+        ])
         profiles = build_user_profiles(tweets, scored)
         assert profiles["alice"].follower_count == 200
 
@@ -255,11 +284,11 @@ class TestUserProfiles:
             "http://a.org/": score_from_labels(labels_for_score(1)),
             "http://b.org/": score_from_labels(labels_for_score(6)),
         }
-        tweets = [
+        tweets = table([
             make_tweet("t0", "alice", 10, ["http://a.org/", "http://b.org/"]),
             make_tweet("t1", "alice", 10, ["http://a.org/"]),
             make_tweet("t2", "bob", 3, ["http://x.org/"]),
-        ]
+        ])
         profiles = build_user_profiles(tweets, scored)
         alice = profiles["alice"]
         assert sorted(alice.shared_scores) == [1, 1, 6]
@@ -303,10 +332,10 @@ class TestExposureCsv:
             "http://a.org/": score_from_labels(labels_for_score(1)),
             "http://b.org/": score_from_labels(labels_for_score(6)),
         }
-        tweets = [
+        tweets = table([
             make_tweet("t0", "alice", 100, ["http://a.org/"]),
             make_tweet("t1", "bob", 40, ["http://a.org/", "http://b.org/"]),
-        ]
+        ])
         shares = aggregate_shares(tweets, scored)
         path = tmp_path / "exposure.csv"
         write_exposure_csv(shares, scored, path)

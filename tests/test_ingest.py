@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dedupe_oracle
+from helpers import dedupe_oracle, parse_tweets_oracle
 from webcred import ingest
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import (
+    TweetTable,
     WebDocument,
     contiguous_word_count,
     dedupe_near_duplicates,
@@ -95,6 +96,76 @@ class TestNormalizeUrl:
         assert normalized == bad
 
 
+RAW_URLS = [
+    "HTTP://A.ORG?utm_source=x&id=3#top", "http://a.org/?id=3", "http://B.org",
+    "http://b.org/#frag", "http://[bad", "x", " http://c.org/p ",
+]
+TWEET_KEYS = ["tweet_id", "user_id", "follower_count", "urls", "is_retweet",
+              "retweet_of", "timestamp"]
+# JSON values of every kind, for a field of the wrong type.
+ANY_VALUE = st.sampled_from([None, True, False, 0, 3, -1, 1.5, "", "x", [], ["x"], {}])
+BAD_TIMESTAMPS = [
+    "not a time", "2017-13-01T00:00:00Z", "2017-05-01T10:00:00+25:00", "",
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+]
+# Lines that are not tweet objects: non-object JSON, broken JSON, JSON
+# nested past the recursion limit, and blank lines.
+ODD_LINES = ["[1, 2]", "3", '"text"', "null", '{"tweet_id": ', "{broken", "",
+             "   ", "[" * 100_000]
+
+
+@st.composite
+def tweet_record(draw):
+    """A valid tweet object; ids come from small pools, so tweet ids repeat
+    (also across a string and an integer that print alike)."""
+    n = draw(st.integers(0, 40))
+    is_retweet = draw(st.booleans())
+    record = {
+        "tweet_id": draw(st.sampled_from([n, str(n), f"t{n}"])),
+        "user_id": draw(st.sampled_from(["u1", "u2", 3])),
+        "follower_count": draw(st.one_of(st.integers(0, 10**6), st.just(10**400))),
+        "urls": draw(st.lists(st.sampled_from(RAW_URLS), max_size=3)),
+        "is_retweet": is_retweet,
+        "retweet_of": draw(st.sampled_from(["t1", 5])) if is_retweet else None,
+        "timestamp": draw(st.sampled_from(
+            ["2017-05-01T10:00:00Z", "2017-05-01T10:00:00", "2017-05-01T10:00:00+02:00",
+             "2017-05-01", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59+00:00"]
+        )),
+    }
+    if not is_retweet and draw(st.booleans()):
+        del record["retweet_of"]
+    return record
+
+
+@st.composite
+def tweet_line(draw):
+    """A valid tweet line, or one with a single field mutated."""
+    record = draw(tweet_record())
+    mutation = draw(st.sampled_from(
+        ["none"] * 8 + ["missing", "wrong_type", "bool_followers",
+         "negative_followers", "bad_url", "retweet_mismatch", "bad_timestamp"]
+    ))
+    if mutation == "missing":
+        record.pop(draw(st.sampled_from(TWEET_KEYS)), None)
+    elif mutation == "wrong_type":
+        record[draw(st.sampled_from(TWEET_KEYS))] = draw(ANY_VALUE)
+    elif mutation == "bool_followers":
+        record["follower_count"] = draw(st.booleans())
+    elif mutation == "negative_followers":
+        record["follower_count"] = -draw(st.integers(1, 10**6))
+    elif mutation == "bad_url":
+        at = draw(st.integers(0, len(record["urls"])))
+        record["urls"].insert(at, draw(st.sampled_from(["", 5, None, ["x"], {"u": 1}])))
+    elif mutation == "retweet_mismatch":
+        if record["is_retweet"]:
+            record["retweet_of"] = None
+        else:
+            record["retweet_of"] = "t1"
+    elif mutation == "bad_timestamp":
+        record["timestamp"] = draw(st.sampled_from(BAD_TIMESTAMPS))
+    return json.dumps(record)
+
+
 class TestParseTweets:
     def make_line(self, tweet_id="t1", **overrides):
         record = {
@@ -110,43 +181,43 @@ class TestParseTweets:
         return json.dumps(record)
 
     def test_parses_valid_lines(self):
-        records, skipped = parse_tweets([self.make_line("t1"), self.make_line("t2")])
+        table, skipped = parse_tweets([self.make_line("t1"), self.make_line("t2")])
         assert skipped == 0
-        assert [r.tweet_id for r in records] == ["t1", "t2"]
-        assert records[0].follower_count == 10
+        assert table.tweet_ids == ["t1", "t2"]
+        assert table.follower_counts[0] == 10
 
     def test_skips_malformed_lines(self):
-        records, skipped = parse_tweets(
+        table, skipped = parse_tweets(
             [self.make_line("t1"), "{broken json", self.make_line("t2"),
              self.make_line("t3"), self.make_line("t4")]
         )
         assert skipped == 1
-        assert len(records) == 4
+        assert len(table) == 4
 
     def test_duplicate_tweet_ids_are_skipped(self):
-        records, skipped = parse_tweets([self.make_line("t1"), self.make_line("t1")])
+        table, skipped = parse_tweets([self.make_line("t1"), self.make_line("t1")])
         assert skipped == 1
-        assert len(records) == 1
+        assert len(table) == 1
 
     def test_majority_malformed_raises(self):
         with pytest.raises(CorruptInputError):
             parse_tweets(["oops", "nope", self.make_line("t1")])
 
     def test_negative_follower_count_skipped(self):
-        records, skipped = parse_tweets(
+        table, skipped = parse_tweets(
             [self.make_line("t1", follower_count=-5), self.make_line("t2"),
              self.make_line("t3")]
         )
         assert skipped == 1
-        assert [r.tweet_id for r in records] == ["t2", "t3"]
+        assert table.tweet_ids == ["t2", "t3"]
 
     def test_urls_are_normalized(self):
-        records, skipped = parse_tweets(
+        table, skipped = parse_tweets(
             [self.make_line("t1", urls=["HTTP://A.ORG?utm_source=x&id=3#top",
                                         "http://b.org/p"])]
         )
         assert skipped == 0
-        assert records[0].urls == ("http://a.org/?id=3", "http://b.org/p")
+        assert table.urls[0] == ("http://a.org/?id=3", "http://b.org/p")
 
     def test_each_distinct_url_is_normalized_once(self, monkeypatch):
         raws = ["HTTP://A.ORG?utm_source=x&id=3#top", "http://a.org/?id=3",
@@ -163,20 +234,74 @@ class TestParseTweets:
             return normalize_url(raw)
 
         monkeypatch.setattr(ingest, "normalize_url", counting)
-        records, skipped = parse_tweets(lines)
+        table, skipped = parse_tweets(lines)
         assert skipped == 0
-        assert [r.urls for r in records] == [
+        assert table.urls == [
             tuple(normalize_url(u) for u in json.loads(line)["urls"]) for line in lines
         ]
         assert sorted(calls) == sorted(raws)
 
     def test_empty_url_line_is_skipped(self):
-        records, skipped = parse_tweets(
+        table, skipped = parse_tweets(
             [self.make_line("t1", urls=[""]), self.make_line("t2"),
              self.make_line("t3")]
         )
         assert skipped == 1
-        assert [r.tweet_id for r in records] == ["t2", "t3"]
+        assert table.tweet_ids == ["t2", "t3"]
+
+    @pytest.mark.parametrize(
+        "timestamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+    )
+    def test_timestamp_out_of_range_in_utc_is_skipped(self, timestamp):
+        table, skipped = parse_tweets(
+            [self.make_line("t1", timestamp=timestamp), self.make_line("t2"),
+             self.make_line("t3")]
+        )
+        assert skipped == 1
+        assert table.tweet_ids == ["t2", "t3"]
+
+    def test_deeply_nested_line_is_skipped(self):
+        table, skipped = parse_tweets(
+            ["[" * 100_000, self.make_line("t1"), self.make_line("t2")]
+        )
+        assert skipped == 1
+        assert table.tweet_ids == ["t1", "t2"]
+
+    def test_columns_hold_the_kept_lines_in_input_order(self):
+        table, skipped = parse_tweets(
+            [self.make_line(7, user_id=3, follower_count=10**400, urls=[]),
+             self.make_line("7"),
+             self.make_line("t2", user_id="u2", follower_count=0,
+                            urls=["http://b.org", "http://b.org"],
+                            is_retweet=True, retweet_of=7)]
+        )
+        assert skipped == 1  # "7" repeats the id of the first line
+        assert table == TweetTable(
+            tweet_ids=["7", "t2"],
+            user_ids=["3", "u2"],
+            follower_counts=[10**400, 0],
+            urls=[(), ("http://b.org/", "http://b.org/")],
+        )
+        assert len(table) == 2
+
+    @settings(max_examples=300, deadline=None)
+    # Four tweet lines to one odd line, so that most lists stay under the
+    # more-than-half-malformed limit.
+    @given(st.lists(st.one_of(*[tweet_line()] * 4, st.sampled_from(ODD_LINES)), max_size=30))
+    def test_matches_the_record_parser(self, lines):
+        try:
+            records, want_skipped = parse_tweets_oracle(lines)
+        except CorruptInputError as exc:
+            with pytest.raises(CorruptInputError) as got:
+                parse_tweets(lines)
+            assert str(got.value) == str(exc)
+            return
+        table, skipped = parse_tweets(lines)
+        assert skipped == want_skipped
+        assert table.tweet_ids == [r.tweet_id for r in records]
+        assert table.user_ids == [r.user_id for r in records]
+        assert table.follower_counts == [r.follower_count for r in records]
+        assert table.urls == [r.urls for r in records]
 
 
 class TestLoadWebpages:

@@ -1,11 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import webcred.eval
 from helpers import make_marker_corpus
 from webcred.errors import DataError
-from webcred.eval import crossvalidate_criterion
-from webcred.models import grid_search
+from webcred.eval import CV_REPORT_HEADER, crossvalidate_criterion
+from webcred.models import GridPoint, grid_search
 
 
 def best_by_rule(table):
@@ -18,6 +20,10 @@ def best_by_rule(table):
 
 
 class TestGridSearch:
+    def test_a_grid_point_ends_with_the_fold_summary_fields_of_a_cv_row(self):
+        # fold_summary's values fill both records by position.
+        assert [f.name for f in fields(GridPoint)] == ["params", *CV_REPORT_HEADER[2:]]
+
     def test_rows_equal_cross_validating_each_point(self):
         docs, labels = make_marker_corpus(40, seed=41, fidelity=0.6)
         result = grid_search(docs, labels, "svm", {"C": [0.1, 10.0]}, k=4, seed=5)
