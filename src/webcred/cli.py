@@ -23,9 +23,7 @@ from . import ingest, models, stats, textprep
 from .errors import (
     DataError, open_input, open_output, output_transaction, read_csv, write_csv
 )
-from .forest import _check_n_estimators
 from .rng import stream_seed
-from .svm import _check_c
 # transform is unused here but stays bound: perfbench's tracer self-test
 # checks that tracing wraps cli.transform.
 from .textprep import build_vocabulary, clean_text, tokenize, transform
@@ -97,17 +95,17 @@ def _docs_for_urls(
 
 def _labelled_corpus(
     docs_path: str | Path, labels_path: str | Path
-) -> tuple[list[str], list[list[str]], dict[int, list[int]]]:
-    """Join labels.csv with documents; returns (urls, token docs, labels
-    per criterion) with urls in sorted order."""
+) -> tuple[list[str], list[Counter], dict[int, list[int]]]:
+    """Join labels.csv with documents; returns (urls, each document's term
+    counts, labels per criterion) with urls in sorted order."""
     labels = credibility.read_labels_csv(labels_path)
     urls = sorted(labels)
     docs = _docs_for_urls(docs_path, urls, "labelled")
-    token_docs = [tokenize(clean_text(doc.text)) for doc in docs]
+    term_counts = [Counter(tokenize(clean_text(doc.text))) for doc in docs]
     labels_by_criterion = {
         k: [labels[u][k - 1] for u in urls] for k in range(1, credibility.N_CRITERIA + 1)
     }
-    return urls, token_docs, labels_by_criterion
+    return urls, term_counts, labels_by_criterion
 
 
 def _filtered_docs(
@@ -147,9 +145,11 @@ def _cmd_cv(args) -> None:
         raise DataError(
             f"--families must name one or more of {', '.join(models.FAMILIES)}"
         )
-    for family in families:
+    for i, family in enumerate(families):
         if family not in models.FAMILIES:
             raise DataError(f"unknown family {family!r}")
+        if family in families[:i]:
+            raise DataError(f"--families names {family!r} twice")
     params = _model_params(args)
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     report = evalmod.cross_validate(
@@ -368,9 +368,9 @@ def _add_model_params(sub: argparse.ArgumentParser) -> None:
 def _model_params(args: argparse.Namespace) -> dict[str, dict]:
     """The --svm-c and --rf-estimators values by family, each checked as its
     trainer checks it, whichever families the run fits."""
-    _check_c(args.svm_c)
-    _check_n_estimators(args.rf_estimators)
-    return {"svm": {"C": args.svm_c}, "rf": {"n_estimators": args.rf_estimators}}
+    params = {"svm": {"C": args.svm_c}, "rf": {"n_estimators": args.rf_estimators}}
+    models.check_params(params)
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_model_params(sub[name])
     for name in ("cv", "grid"):
         sub[name].add_argument("--folds", type=int, default=evalmod.DEFAULT_FOLDS)
-    sub["cv"].add_argument("--families", default="svm,rf")
+    sub["cv"].add_argument("--families", default=",".join(models.FAMILIES))
     sub["grid"].add_argument("--criterion", type=int, required=True)
     sub["grid"].add_argument("--family", required=True, choices=models.FAMILIES)
     sub["grid"].add_argument(

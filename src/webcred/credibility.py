@@ -17,7 +17,7 @@ from .errors import DataError, json_number, read_csv, write_csv
 from .eval import CvReport
 from .forest import ForestModel
 from .ingest import WebDocument
-from .models import model_from_dict
+from .models import FAMILIES, model_from_dict, pick_best
 from .svm import SvmModel
 from .textprep import TfIdfModel, clean_text, tokenize, transform
 
@@ -93,30 +93,19 @@ class EnsembleModel:
 
 
 def select_families(cv_report: CvReport) -> dict[int, str]:
-    """Per criterion, the family with the higher mean F1.
-
-    Ties go to higher mean accuracy, then to the random forest.
-    """
-    by_criterion: dict[int, dict[str, tuple[float, float]]] = {}
-    for row in cv_report.rows:
-        by_criterion.setdefault(row.criterion, {})[row.family] = (
-            row.f1_mean,
-            row.acc_mean,
-        )
+    """Per criterion, the family with the higher mean F1, then the higher
+    mean accuracy, then the random forest: ``models.pick_best`` over the
+    criterion's rows in reverse ``FAMILIES`` order, the forest's first."""
+    rows = {(row.criterion, row.family): row for row in cv_report.rows}
     chosen: dict[int, str] = {}
     for criterion in range(1, N_CRITERIA + 1):
-        families = by_criterion.get(criterion, {})
-        if "svm" not in families or "rf" not in families:
+        candidates = [rows.get((criterion, family)) for family in reversed(FAMILIES)]
+        if None in candidates:
+            have = sorted(family for k, family in rows if k == criterion)
             raise DataError(
-                f"criterion {criterion}: need CV rows for both families, "
-                f"have {sorted(families)}"
+                f"criterion {criterion}: need CV rows for both families, have {have}"
             )
-        svm_f1, svm_acc = families["svm"]
-        rf_f1, rf_acc = families["rf"]
-        if svm_f1 > rf_f1 or (svm_f1 == rf_f1 and svm_acc > rf_acc):
-            chosen[criterion] = "svm"
-        else:
-            chosen[criterion] = "rf"
+        chosen[criterion] = candidates[pick_best(candidates)].family
     return chosen
 
 
@@ -141,10 +130,7 @@ def build_ensemble(
             criterion=criterion,
             family=family,
             model=model,
-            provenance={
-                "svm": stats[(criterion, "svm")],
-                "rf": stats[(criterion, "rf")],
-            },
+            provenance={f: stats[(criterion, f)] for f in FAMILIES},
         )
     return EnsembleModel(entries=entries)
 

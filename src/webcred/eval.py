@@ -8,7 +8,6 @@ stratifies folds because several criteria are heavily imbalanced.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -16,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, StratificationError, read_csv, write_csv
+from .models import FAMILIES, train_model
 from .rng import SplitMix64, stream_seed
 from .textprep import SparseVector, TfIdfModel, build_vocabulary, fit_tfidf, transform
 
@@ -108,12 +108,24 @@ class CvReport:
 def read_cv_report_csv(path: str | Path, folds: int = DEFAULT_FOLDS) -> CvReport:
     """Load a cv_report.csv written by CvReport.write_csv.
 
-    The fold count is not persisted in the file; callers that care can
-    pass it, but family selection only needs the per-row means.
+    Each row is one (criterion, family) pair of a family in ``FAMILIES``,
+    given once.  The fold count is not persisted in the file; callers that
+    care can pass it, but family selection only needs the per-row means.
     """
-    rows = read_csv(
-        path, CV_REPORT_HEADER, lambda r: CvRow(int(r[0]), r[1], *map(float, r[2:]))
-    )
+    seen: set[tuple[int, str]] = set()
+
+    def parse(r: list[str]) -> CvRow:
+        row = CvRow(int(r[0]), r[1], *map(float, r[2:]))
+        if row.family not in FAMILIES:
+            raise DataError(f"unknown family {row.family!r}")
+        if (row.criterion, row.family) in seen:
+            raise DataError(
+                f"duplicate row for criterion {row.criterion}, family {row.family}"
+            )
+        seen.add((row.criterion, row.family))
+        return row
+
+    rows = read_csv(path, CV_REPORT_HEADER, parse)
     if not rows:
         raise DataError(f"{path}: no report rows")
     return CvReport(rows=rows, folds=folds)
@@ -161,26 +173,24 @@ def crossvalidate_candidates(
 
     Every candidate is scored on the same folds, and each fold's
     vocabulary, TF-IDF weights and vectors are built once and shared by
-    all candidates.  Each document is reduced to its term counts once, and
-    every fold reads those.  Fold f trains with substream seed
+    all candidates.  A document may be its tokens or their ``Counter``;
+    callers that score many candidates or criteria pass the ``Counter``, so
+    each document is counted once.  Fold f trains with substream seed
     stream_seed(seed, f), so folds can be evaluated in any order with
     identical results.
     """
-    from .models import train_model
-
     if len(token_docs) != len(labels):
         raise DataError(
             f"got {len(token_docs)} documents but {len(labels)} labels"
         )
     folds = stratified_kfold(labels, k=k, seed=seed)
-    term_counts = [Counter(tokens) for tokens in token_docs]
     scores: list[tuple[list[float], list[float]]] = [([], []) for _ in candidates]
     for f, held_out in enumerate(folds):
         held = set(held_out)
         train_idx = [i for i in range(len(labels)) if i not in held]
-        tfidf, X_train = fit_features([term_counts[i] for i in train_idx])
+        tfidf, X_train = fit_features([token_docs[i] for i in train_idx])
         y_train = [labels[i] for i in train_idx]
-        X_test = [transform(term_counts[i], tfidf) for i in held_out]
+        X_test = [transform(token_docs[i], tfidf) for i in held_out]
         y_test = [labels[i] for i in held_out]
         for (family, params), (f1s, accs) in zip(candidates, scores):
             model = train_model(
@@ -210,7 +220,7 @@ def crossvalidate_criterion(
 def cross_validate(
     token_docs: Sequence[Sequence[str]],
     labels_by_criterion: dict[int, Sequence[int]],
-    families: Sequence[str] = ("svm", "rf"),
+    families: Sequence[str] = FAMILIES,
     params_by_family: dict[str, dict] | None = None,
     k: int = DEFAULT_FOLDS,
     seed: int = 0,

@@ -116,18 +116,20 @@ def normalize_url(raw: str) -> str:
 
     Lowercases scheme and host, drops the fragment and ``utm_*`` tracking
     parameters, and gives an empty path a trailing "/".  Idempotent; a
-    string urlsplit cannot parse is returned unchanged (see
-    :func:`normalize_url_checked` when the caller needs to know).
+    blank string raises DataError, and one urlsplit cannot parse is
+    returned unchanged (see :func:`normalize_url_checked` when the caller
+    needs to know).
     """
     return normalize_url_checked(raw)[0]
 
 
 def normalize_url_checked(raw: str) -> tuple[str, bool]:
     """Like :func:`normalize_url` but flags unparseable input as False."""
-    if not raw:
+    stripped = raw.strip()
+    if not stripped:
         raise DataError("empty URL")
     try:
-        parts = urlsplit(raw.strip())
+        parts = urlsplit(stripped)
     except ValueError:
         return raw, False
     scheme = parts.scheme.lower()
@@ -151,7 +153,7 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
 
     A non-blank line is kept when it is a JSON object whose ``tweet_id``
     (as a string) is new, whose ``follower_count`` is a non-negative
-    integer (not a bool), whose ``urls`` is a list of non-empty strings,
+    integer (not a bool), whose ``urls`` is a list of non-blank strings,
     with ``user_id`` and ``is_retweet`` present, ``retweet_of`` given (not
     null) exactly when ``is_retweet`` is true, and a ``timestamp`` that
     ``_parse_timestamp`` accepts; the timestamp is checked, not kept.
@@ -169,7 +171,7 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
     skipped = 0
     total = 0
     seen_ids: set[str] = set()
-    # Raw URL -> normalized form; only non-empty strings get in, so a hit
+    # Raw URL -> normalized form; only non-blank strings get in, so a hit
     # for every URL of a line means that they all pass.
     normalized: dict[str, str] = {}
     for line in stream:
@@ -215,7 +217,7 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
 def _normalize_new_urls(urls: list, normalized: dict[str, str]) -> tuple[str, ...]:
     """The normalized ``urls`` of one line, some of them not yet in
     ``normalized``, which gains them; raises DataError unless every URL is
-    a non-empty string."""
+    a non-blank string."""
     if not all(isinstance(raw, str) for raw in urls):
         raise DataError("urls must be a list of strings")
     for raw in urls:

@@ -1,4 +1,5 @@
-"""Model family dispatch, hyperparameter grid search, and serialization."""
+"""The model families: dispatch, option checks, the one rule that picks the
+best candidate, hyperparameter grid search, and serialization."""
 
 from __future__ import annotations
 
@@ -6,10 +7,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
-from .forest import DEFAULT_N_ESTIMATORS, ForestModel, train_random_forest
-from .svm import DEFAULT_C, SvmModel, train_linear_svm
+from .forest import (
+    DEFAULT_N_ESTIMATORS, ForestModel, _check_n_estimators, train_random_forest
+)
+from .svm import DEFAULT_C, SvmModel, _check_c, train_linear_svm
 from .textprep import SparseVector
 
+# Every model family; cv rows and model provenance follow this order.
 FAMILIES = ("svm", "rf")
 
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
@@ -42,13 +46,18 @@ def train_model(
     raise DataError(f"unknown model family {family!r} (expected one of {FAMILIES})")
 
 
+def check_params(params_by_family: dict[str, dict]) -> None:
+    """Raise DataError unless each family's parameter passes the check its
+    trainer makes, so a run can reject it before fitting anything."""
+    _check_c(params_by_family["svm"]["C"])
+    _check_n_estimators(params_by_family["rf"]["n_estimators"])
+
+
 def model_from_dict(data: dict) -> SvmModel | ForestModel:
     family = data.get("family")
-    if family == "svm":
-        return SvmModel.from_dict(data)
-    if family == "rf":
-        return ForestModel.from_dict(data)
-    raise DataError(f"unknown model family {family!r} in serialized model")
+    if family not in FAMILIES:
+        raise DataError(f"unknown model family {family!r} in serialized model")
+    return {"svm": SvmModel, "rf": ForestModel}[family].from_dict(data)
 
 
 @dataclass
@@ -74,6 +83,17 @@ class GridResult:
         return self.table[self.best_index].params
 
 
+def pick_best(candidates: Sequence) -> int:
+    """The index of the candidate with the highest ``f1_mean``, then the
+    highest ``acc_mean``, then the earliest: the one rule that picks a grid
+    point and a criterion's family."""
+    # max keeps the first of equal keys.
+    return max(
+        range(len(candidates)),
+        key=lambda i: (candidates[i].f1_mean, candidates[i].acc_mean),
+    )
+
+
 def grid_search(
     token_docs: Sequence[Sequence[str]],
     labels: Sequence[int],
@@ -85,8 +105,8 @@ def grid_search(
     """Cross-validate every grid point on shared folds and keep the best one.
 
     The grid maps the family's one parameter (``DEFAULT_PARAMS``) to its
-    values, and the points are those values in the order given.  Best =
-    highest mean F1, ties broken by higher mean accuracy, then by order.
+    values, and the points are those values in the order given.  The best
+    is the one ``pick_best`` picks.
     """
     from .eval import crossvalidate_candidates, fold_summary
 
@@ -111,8 +131,4 @@ def grid_search(
         GridPoint(params, *fold_summary(f1s, accs))
         for params, (f1s, accs) in zip(points, scores)
     ]
-    # max keeps the first of equal keys, which is the enumeration-order tie rule.
-    best = max(
-        range(len(table)), key=lambda i: (table[i].f1_mean, table[i].acc_mean)
-    )
-    return GridResult(family=family, table=table, best_index=best)
+    return GridResult(family=family, table=table, best_index=pick_best(table))

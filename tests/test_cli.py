@@ -431,6 +431,7 @@ class TestExitCodes:
             ('{"url": null, "text": "words"}',
              "webpages.jsonl:2: 'url' is not a string"),
             ('{"url": "", "text": "words"}', "webpages.jsonl:2: empty URL"),
+            ('{"url": "   ", "text": "words"}', "webpages.jsonl:2: empty URL"),
             ('{"url": "HTTP://A.example.org", "text": "words"}',
              "webpages.jsonl:2: duplicate url http://a.example.org/ (first on line 1)"),
             pytest.param(DEEP_JSON, "webpages.jsonl:2: invalid JSON: maximum recursion",
@@ -633,8 +634,9 @@ class TestExitCodes:
 def test_tweet_with_an_empty_url_is_skipped(pipeline, tmp_path):
     fx, out = pipeline["fx"], pipeline["out"]
     empty = json.loads(TWEET_LINES[0]) | {"tweet_id": "t99", "urls": [""]}
+    blank = empty | {"tweet_id": "t98", "urls": ["   "]}
     tweets = tmp_path / "tweets.jsonl"
-    tweets.write_text("\n".join(TWEET_LINES + [json.dumps(empty)]) + "\n")
+    tweets.write_text("\n".join(TWEET_LINES + [json.dumps(empty), json.dumps(blank)]) + "\n")
     argv = ["--scores", f"{out}/scores.csv", "--manifest", f"{tmp_path}/m.json"]
     assert main(["exposure", "--tweets", str(tweets),
                  "--out", f"{tmp_path}/exposure.csv",
@@ -647,7 +649,7 @@ def test_tweet_with_an_empty_url_is_skipped(pipeline, tmp_path):
                  "--report", f"{tmp_path}/filter_report.json",
                  "--manifest", f"{tmp_path}/m.json"]) == 0
     report = json.loads((tmp_path / "filter_report.json").read_text())
-    assert report["tweets_skipped"] == 2  # the "{not json" line and t99
+    assert report["tweets_skipped"] == 3  # the "{not json" line, t99 and t98
 
 
 @pytest.mark.parametrize(
@@ -793,6 +795,7 @@ def test_non_finite_svm_c_exits_1(pipeline, tmp_path, capsys, stage, value):
         ("cv", ["--families", ""], "--families must name one or more of svm, rf"),
         ("train", ["--svm-c", "-1"], "C must be a positive finite number, got -1.0"),
         ("train", ["--rf-estimators", "0"], "n_estimators must be >= 1, got 0"),
+        ("cv", ["--families", "svm,svm"], "--families names 'svm' twice"),
     ],
 )
 def test_invalid_model_option_exits_1_whichever_families_are_fitted(
@@ -875,12 +878,15 @@ def test_a_failing_second_output_keeps_the_first(pipeline, tmp_path, capsys, arg
         ("labels.csv", ['"http://a.example.org/\nx",1,1,1,1,1,1,1', "{row}",
                         "http://b.example.org/,1,1,1,1,1,1,x"],
          "labels.csv:5: invalid literal for int()"),
+        ("cv.csv", ["{row}", "1,rf,1.0,0.0,1.0,0.0", "1,rf,1.0,0.0,1.0,0.0"],
+         "cv.csv:4: duplicate row for criterion 1, family rf"),
+        ("cv.csv", ["{row}", "1,xgb,1.0,0.0,1.0,0.0"], "cv.csv:3: unknown family 'xgb'"),
     ],
 )
 def test_bad_row_is_reported_at_its_file_line(pipeline, tmp_path, capsys, bad_file,
                                               rows, message):
     fx, out = pipeline["fx"], pipeline["out"]
-    source = out / bad_file if bad_file == "scores.csv" else fx / bad_file
+    source = out / bad_file if bad_file in ("scores.csv", "cv.csv") else fx / bad_file
     header, first_row = source.read_text().splitlines()[:2]
     bad = tmp_path / bad_file
     bad.write_text("\n".join([header] + [r.format(row=first_row) for r in rows]) + "\n")
@@ -891,6 +897,9 @@ def test_bad_row_is_reported_at_its_file_line(pipeline, tmp_path, capsys, bad_fi
                         "--out", f"{tmp_path}/kappa.json"],
         "labels.csv": ["cv", "--docs", f"{fx}/webpages.jsonl", "--labels", str(bad),
                        "--out", f"{tmp_path}/cv.csv"],
+        "cv.csv": ["train", "--docs", f"{fx}/webpages.jsonl",
+                   "--labels", f"{fx}/labels.csv", "--cv-report", str(bad),
+                   "--out", f"{tmp_path}/model.json"],
     }[bad_file]
     rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
     assert rc == 1

@@ -86,8 +86,9 @@ class TestNormalizeUrl:
             assert normalize_url(once) == once
 
     def test_empty_url_rejected(self):
-        with pytest.raises(DataError):
-            normalize_url("")
+        for blank in ("", "   "):
+            with pytest.raises(DataError, match="empty URL"):
+                normalize_url(blank)
 
     def test_unparseable_url_flagged(self):
         bad = "http://[unclosed"
@@ -244,9 +245,9 @@ class TestParseTweets:
     def test_empty_url_line_is_skipped(self):
         table, skipped = parse_tweets(
             [self.make_line("t1", urls=[""]), self.make_line("t2"),
-             self.make_line("t3")]
+             self.make_line("t3"), self.make_line("t4", urls=["   "])]
         )
-        assert skipped == 1
+        assert skipped == 2
         assert table.tweet_ids == ["t2", "t3"]
 
     @pytest.mark.parametrize(
