@@ -9,9 +9,11 @@ exactness check at sizes the unit tests do not reach.
 Each corpus mixes distinct fixture-prose pages of 360-419 words with
 near-duplicate copies (a page minus its last four words), one copy per
 ~18 pages as in the ``score-corpus`` perfbench workload.  The scan is
-quadratic: on one core of a 2-core x86 machine under Python 3.11 it took
-4.4 s at 550 documents and 590 s at 5,500, against 0.3 s and 4.2 s for
-the join.  ``--sizes 550`` skips the long run.
+quadratic: on one core of a 2-core x86 machine under Python 3.11 and
+NumPy 2.4 it took 4.3 s at 550 documents and 590 s at 5,500, against
+0.13 s and 1.7 s for the join.  The join's tracemalloc peak, printed
+beside its time, was 5.8 MB and 54 MB, about 24 bytes per word.
+``--sizes 550`` skips the long run.
 
 Usage:
     python3 benchmarks/bench_dedupe.py [--sizes 550,5500] [--jaccard T]
@@ -24,6 +26,7 @@ import argparse
 import importlib.util
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from webcred import ingest
@@ -64,6 +67,17 @@ def timed_urls(fn, docs, threshold) -> tuple[float, list[str]]:
     return time.perf_counter() - t0, [d.url for d in kept]
 
 
+def peak_mb(fn, docs, threshold) -> float:
+    """The tracemalloc peak of one call, in MB, from a second, traced call
+    (tracing slows the call, so it is not the timed one)."""
+    tracemalloc.start()
+    try:
+        fn(docs, threshold)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="550,5500",
@@ -88,11 +102,13 @@ def main() -> int:
             t_join, kept_join = timed_urls(ingest.dedupe_near_duplicates, docs, args.jaccard)
         finally:
             ingest.jaccard = jaccard
+        join_mb = peak_mb(ingest.dedupe_near_duplicates, docs, args.jaccard)
         t_scan, kept_scan = timed_urls(dedupe_oracle, docs, args.jaccard)
         print(f"{n_docs} docs, jaccard >= {args.jaccard}: "
               f"{n_docs - len(kept_join)} duplicates")
         print(f"  pairwise scan  {t_scan:8.3f} s")
-        print(f"  prefix join    {t_join:8.3f} s  ({calls} jaccard calls)")
+        print(f"  prefix join    {t_join:8.3f} s  {join_mb:6.1f} MB peak "
+              f"({calls} jaccard calls)")
         print(f"  speedup        {t_scan / t_join:8.1f}x")
         if kept_join != kept_scan:
             print("  WARNING: the join and the scan keep different documents")

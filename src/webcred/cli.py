@@ -127,10 +127,16 @@ def _cmd_ingest(args) -> None:
         payload["tweets_parsed"] = len(table)
         payload["tweets_skipped"] = skipped
     if args.reference_urls:
-        with open_input(args.reference_urls) as fh:
-            reference = {
-                ingest.normalize_url(line.strip()) for line in fh if line.strip()
-            }
+        path = args.reference_urls
+        reference = set()
+        with open_input(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    reference.add(ingest.normalize_url(line.strip()))
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
         both, corpus_only = ingest.intersect_urlsets(
             {d.url for d in deduped}, reference
         )

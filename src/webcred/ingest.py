@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
 from urllib.parse import urlsplit, urlunsplit
+
+import numpy as np
 
 from .errors import CorruptInputError, DataError
 from .language import detect_language
@@ -116,7 +117,8 @@ def normalize_url(raw: str) -> str:
 
     Lowercases scheme and host, drops the fragment and ``utm_*`` tracking
     parameters, and gives an empty path a trailing "/".  Idempotent; a
-    blank string raises DataError, and one urlsplit cannot parse is
+    blank string, or one with nothing left once normalized (``#top``,
+    ``?utm_source=x``), raises DataError, and one urlsplit cannot parse is
     returned unchanged (see :func:`normalize_url_checked` when the caller
     needs to know).
     """
@@ -145,7 +147,10 @@ def normalize_url_checked(raw: str) -> tuple[str, bool]:
         if piece and not piece.split("=", 1)[0].lower().startswith("utm_")
     ]
     query = "&".join(kept)
-    return urlunsplit((scheme, netloc, path, query, "")), True
+    url = urlunsplit((scheme, netloc, path, query, ""))
+    if not url:
+        raise DataError("empty URL")
+    return url, True
 
 
 def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
@@ -303,12 +308,78 @@ def filter_corpus(
 
 
 def _shingles(text: str, size: int = SHINGLE_SIZE) -> frozenset[tuple[str, ...]]:
-    # Interned, so the shingle tuples of every kept document share one
-    # string object per distinct word.
-    words = list(map(sys.intern, text.lower().split()))
+    """The set of ``size``-word shingles of ``text``: its lowercased words'
+    windows, or for a text of 1 to ``size - 1`` words its one word tuple.
+    The reference for :func:`_shingle_id_sets`."""
+    words = text.lower().split()
     if len(words) < size:
         return frozenset([tuple(words)]) if words else frozenset()
     return frozenset(zip(*(words[i:] for i in range(size))))
+
+
+class _WordIds(dict):
+    """Word -> int id, the next unused id for each new word."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = value = len(self)
+        return value
+
+
+# The id of the words that pad a short text's one shingle; no word gets it.
+_PAD = -1
+
+
+def _shingle_id_sets(texts: Iterable[str]) -> list[np.ndarray]:
+    """Each text's :func:`_shingles` as a sorted integer array of shingle ids.
+
+    Two shingles of any of the texts get the same id exactly when they are
+    the same word tuple.  Words get int32 ids, the texts' ids go into one
+    array, a text of 1 to ``SHINGLE_SIZE - 1`` words padded with ``_PAD``,
+    and one ``lexsort`` ranks every ``SHINGLE_SIZE``-id window of it; a
+    window's id is its rank among the distinct windows.  Windows that
+    cross two texts get ids too, which no text reads.
+    """
+    ids = _WordIds()
+    chunks: list[np.ndarray] = []
+    bounds: list[tuple[int, int]] = []
+    at = 0
+    for text in texts:
+        words = text.lower().split()
+        chunk = np.fromiter(map(ids.__getitem__, words), np.int32, len(words))
+        if 0 < len(words) < SHINGLE_SIZE:
+            pad = np.full(SHINGLE_SIZE - len(words), _PAD, np.int32)
+            chunk = np.concatenate([chunk, pad])
+        chunks.append(chunk)
+        bounds.append((at, at + max(len(chunk) - SHINGLE_SIZE + 1, 0)))
+        at += len(chunk)
+    if at == 0:
+        return [np.empty(0, np.int32) for _ in bounds]
+    # Each temporary is dropped once used, which keeps a call's peak near
+    # 25 bytes per word: the word ids, the sort order and the int32 ranks.
+    flat = np.concatenate(chunks)
+    del chunks
+    n_windows = at - SHINGLE_SIZE + 1
+    columns = [flat[i : i + n_windows] for i in range(SHINGLE_SIZE)]
+    order = np.lexsort(columns[::-1])
+    # starts[k]: the k-th window in sorted order differs from the one before.
+    starts = np.zeros(n_windows, bool)
+    starts[0] = True
+    for column in columns:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    del columns, flat, ranked
+    ranks = np.cumsum(starts, dtype=np.int32 if n_windows < 2**31 else np.int64)
+    del starts
+    shingle_ids = np.empty_like(ranks)
+    shingle_ids[order] = ranks
+    del order, ranks
+    sets = []
+    for lo, hi in bounds:
+        row = np.sort(shingle_ids[lo:hi])
+        distinct = np.ones(len(row), bool)
+        distinct[1:] = row[1:] != row[:-1]
+        sets.append(row[distinct])
+    return sets
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -334,10 +405,10 @@ def dedupe_near_duplicates(
     Xiao et al., "Efficient Similarity Joins for Near Duplicate
     Detection" (PPJoin), WWW 2008), not a scan of every kept document:
 
-    * Order.  Each shingle set x is sorted by the shingle's ``hash``.  Its
-      prefix is its first p(x) = |x| - floor(fl(t*|x|)) + 1 shingles,
-      extended through hash ties, so it contains the prefix of that length
-      under the total order (hash, shingle) that every document shares.
+    * Order.  Each shingle set x is the sorted array of its shingle ids
+      (:func:`_shingle_id_sets`), one total order that every document
+      shares.  Its prefix is its first p(x) = |x| - floor(fl(t*|x|)) + 1
+      ids.
     * Bound.  If the float test ``jaccard(x, y) >= t`` passes, the
       overlap is at least t*max(|x|, |y|) up to two roundings, so it is an
       integer o >= floor(fl(t*|x|)) for |x| < 2**51; the same holds for y.
@@ -348,10 +419,11 @@ def dedupe_near_duplicates(
       most one token and stays safe when t*|x| rounds up past an integer
       (0.56 * 25 == 14.000000000000002).
     * Probe and index.  Only kept documents' prefixes are indexed.  A
-      kept document that shares no prefix shingle with the current one
-      cannot reach t and is never compared; each one that does is checked
-      with the size-ratio bound and ``jaccard`` exactly as a pairwise scan
-      would, so every decision is the same float comparison.
+      kept document that shares no prefix id with the current one cannot
+      reach t and is never compared; each one that does is checked with
+      the size-ratio bound and ``jaccard`` on the two id sets exactly as a
+      pairwise scan of shingle sets would, so every decision is the same
+      float comparison.
 
     An empty shingle set duplicates only another empty one
     (``jaccard(∅, ∅) == 1``).
@@ -360,24 +432,19 @@ def dedupe_near_duplicates(
         raise DataError("jaccard_threshold must be in (0, 1]")
     ordered = sorted(docs, key=lambda d: (-d.word_count, d.url))
     kept: list[WebDocument] = []
-    kept_shingles: list[frozenset] = []
+    kept_shingles: list[np.ndarray] = []
     kept_empty = False
-    # Prefix shingle -> indexes into kept_shingles of the documents whose
-    # prefix holds it.
-    index: dict[tuple[str, ...], list[int]] = {}
-    for doc in ordered:
-        sh = _shingles(doc.text)
-        if not sh:
+    # Prefix shingle id -> indexes into kept_shingles of the documents
+    # whose prefix holds it.
+    index: dict[int, list[int]] = {}
+    for doc, sh in zip(ordered, _shingle_id_sets(d.text for d in ordered)):
+        n = len(sh)
+        if not n:
             if not kept_empty:
                 kept_empty = True
                 kept.append(doc)
             continue
-        ranked = sorted(sh, key=hash)
-        n = len(ranked)
-        end = min(n, n - math.floor(jaccard_threshold * n) + 1)
-        while end < n and hash(ranked[end]) == hash(ranked[end - 1]):
-            end += 1
-        prefix = ranked[:end]
+        prefix = sh[: n - math.floor(jaccard_threshold * n) + 1].tolist()
         candidates = {j for s in prefix for j in index.get(s, ())}
         duplicate = False
         for j in candidates:
@@ -386,7 +453,8 @@ def dedupe_near_duplicates(
             smaller, larger = sorted((n, len(other)))
             if smaller / larger < jaccard_threshold:
                 continue
-            if jaccard(sh, other) >= jaccard_threshold:
+            similarity = jaccard(frozenset(sh.tolist()), frozenset(other.tolist()))
+            if similarity >= jaccard_threshold:
                 duplicate = True
                 break
         if not duplicate:

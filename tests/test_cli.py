@@ -432,6 +432,8 @@ class TestExitCodes:
              "webpages.jsonl:2: 'url' is not a string"),
             ('{"url": "", "text": "words"}', "webpages.jsonl:2: empty URL"),
             ('{"url": "   ", "text": "words"}', "webpages.jsonl:2: empty URL"),
+            ('{"url": "#top", "text": "words"}', "webpages.jsonl:2: empty URL"),
+            ('{"url": "?utm_source=x", "text": "words"}', "webpages.jsonl:2: empty URL"),
             ('{"url": "HTTP://A.example.org", "text": "words"}',
              "webpages.jsonl:2: duplicate url http://a.example.org/ (first on line 1)"),
             pytest.param(DEEP_JSON, "webpages.jsonl:2: invalid JSON: maximum recursion",
@@ -650,6 +652,37 @@ def test_tweet_with_an_empty_url_is_skipped(pipeline, tmp_path):
                  "--manifest", f"{tmp_path}/m.json"]) == 0
     report = json.loads((tmp_path / "filter_report.json").read_text())
     assert report["tweets_skipped"] == 3  # the "{not json" line, t99 and t98
+
+
+def test_tweet_with_a_url_that_normalizes_to_nothing_is_skipped(
+    pipeline, tmp_path
+):
+    top = json.loads(TWEET_LINES[0]) | {"tweet_id": "t99", "urls": ["#top"]}
+    utm = top | {"tweet_id": "t98", "urls": ["?utm_source=x"]}
+    tweets = tmp_path / "tweets.jsonl"
+    lines = TWEET_LINES + [json.dumps(top), json.dumps(utm)]
+    tweets.write_text("\n".join(lines) + "\n")
+    assert main(["ingest", "--webpages", f"{pipeline['fx']}/webpages.jsonl",
+                 "--tweets", str(tweets), "--min-words", "50",
+                 "--report", f"{tmp_path}/filter_report.json",
+                 "--manifest", f"{tmp_path}/m.json"]) == 0
+    report = json.loads((tmp_path / "filter_report.json").read_text())
+    assert report["tweets_skipped"] == 3  # the "{not json" line, t99 and t98
+
+
+@pytest.mark.parametrize("bad_line", ["#top", "?utm_source=x"])
+def test_reference_url_that_normalizes_to_nothing_names_its_line(
+    pipeline, tmp_path, capsys, bad_line
+):
+    reference = tmp_path / "reference_urls.txt"
+    # Line 2 is blank and skipped; line 3 is the bad one.
+    reference.write_text(f"http://a.example.org/\n\n{bad_line}\n")
+    rc = main(["ingest", "--webpages", f"{pipeline['fx']}/webpages.jsonl",
+               "--min-words", "50", "--reference-urls", str(reference),
+               "--report", f"{tmp_path}/filter_report.json",
+               "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, f"{reference}:3: empty URL")
 
 
 @pytest.mark.parametrize(

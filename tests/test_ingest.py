@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +90,11 @@ class TestNormalizeUrl:
         for blank in ("", "   "):
             with pytest.raises(DataError, match="empty URL"):
                 normalize_url(blank)
+
+    @pytest.mark.parametrize("raw", ["#top", "?utm_source=x", " ?utm_medium=a#b "])
+    def test_url_with_nothing_left_rejected(self, raw):
+        with pytest.raises(DataError, match="empty URL"):
+            normalize_url(raw)
 
     def test_unparseable_url_flagged(self):
         bad = "http://[unclosed"
@@ -249,6 +255,15 @@ class TestParseTweets:
         )
         assert skipped == 2
         assert table.tweet_ids == ["t2", "t3"]
+
+    def test_url_that_normalizes_to_nothing_is_skipped(self):
+        table, skipped = parse_tweets(
+            [self.make_line("t1", urls=["#top"]), self.make_line("t2"),
+             self.make_line("t3", urls=["http://a.org/", "?utm_source=x"]),
+             self.make_line("t4"), self.make_line("t5")]
+        )
+        assert skipped == 2
+        assert table.tweet_ids == ["t2", "t4", "t5"]
 
     @pytest.mark.parametrize(
         "timestamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
@@ -499,6 +514,30 @@ class TestPrefixFilteredDedupe:
         assert urls(dedupe_near_duplicates([x, y], 0.56)) == ["http://x.org/"]
         assert urls(dedupe_oracle([x, y], 0.56)) == ["http://x.org/"]
 
+    def test_prefix_bound_survives_float_rounding_in_id_order(self):
+        # The same 14-of-25 case as above, built against shingle-id order.
+        # z has the highest word_count, so its words, x's words 14-28, get
+        # the smallest word ids, and x's 11 shingles that y lacks sort
+        # before the 14 they share: the textbook prefix of
+        # 25 - ceil(0.56 * 25) + 1 = 11 ids misses every shared one.
+        words = [f"w{i}" for i in range(29)]
+        z = WebDocument(
+            url="http://z.org/", text=" ".join(reversed(words[14:])), word_count=100
+        )
+        x = WebDocument(url="http://x.org/", text=" ".join(words))
+        y = WebDocument(url="http://y.org/", text=" ".join(words[:18]))
+        z_ids, x_ids, y_ids = ingest._shingle_id_sets([z.text, x.text, y.text])
+        assert len(x_ids) == 25 and len(y_ids) == 14
+        shared = set(x_ids.tolist()) & set(y_ids.tolist())
+        assert len(shared) == 14 and min(shared) == x_ids[11]
+        assert not set(z_ids.tolist()) & set(x_ids.tolist())
+        assert urls(dedupe_near_duplicates([z, x, y], 0.56)) == [
+            "http://x.org/", "http://z.org/"
+        ]
+        assert urls(dedupe_oracle([z, x, y], 0.56)) == [
+            "http://x.org/", "http://z.org/"
+        ]
+
     def test_disjoint_documents_are_never_compared(self, monkeypatch):
         calls = []
 
@@ -525,6 +564,66 @@ class TestPrefixFilteredDedupe:
             WebDocument(url="http://c.org/", text="one two"),
         ]
         assert urls(dedupe_near_duplicates(docs, 1.0)) == ["http://a.org/", "http://c.org/"]
+
+
+# Words whose lowercase forms meet or do not: "STRASSE" and "strasse" are
+# one word and "Straße" another; "İx" lowers to "i̇x" (i plus a combining
+# dot), not to "ix".
+CASE_VOCAB = [
+    "Straße", "STRASSE", "strasse", "İx", "i\u0307x", "ix", "Ant", "ant", "bee"
+]
+SEPARATORS = st.sampled_from([" ", "  ", "\n", "\t", "\u00a0"])
+
+
+@st.composite
+def texts_with_repeats(draw):
+    words = draw(st.lists(st.sampled_from(CASE_VOCAB), max_size=30))
+    separator = draw(SEPARATORS)
+    return separator.join(words)
+
+
+def assert_ids_match_shingles(texts):
+    """Each text's shingle ids are a sorted set of as many ids as its
+    shingles, and every pair has the same jaccard either way."""
+    id_sets = ingest._shingle_id_sets(texts)
+    reference = [ingest._shingles(text) for text in texts]
+    assert [len(ids) for ids in id_sets] == [len(sh) for sh in reference]
+    for ids in id_sets:
+        assert np.issubdtype(ids.dtype, np.integer)
+        assert (ids[1:] > ids[:-1]).all()
+    as_sets = [frozenset(ids.tolist()) for ids in id_sets]
+    for i in range(len(texts)):
+        for j in range(i, len(texts)):
+            expected = jaccard(reference[i], reference[j])
+            assert jaccard(as_sets[i], as_sets[j]) == expected
+
+
+class TestShingleIds:
+    """The join's integer shingle ids stand for ``_shingles``' word tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(texts_with_repeats(), min_size=1, max_size=8))
+    def test_match_the_word_tuples(self, texts):
+        assert_ids_match_shingles(texts)
+
+    @pytest.mark.parametrize("n_words", [0, 1, 2, 3, 4, 5, 6])
+    def test_short_and_empty_texts(self, n_words):
+        words = ["a", "b", "c", "d", "e", "f"][:n_words]
+        texts = [" ".join(words), " ".join(words + ["a"]), "a b c d e", "", "a"]
+        assert_ids_match_shingles(texts)
+
+    def test_more_than_two_to_the_sixteen_distinct_words(self):
+        rng = random.Random(3)
+        vocab = [f"v{i}" for i in range(70_000)]
+        # A copy of a stretch of the first text and words drawn with repeats.
+        texts = [
+            " ".join(vocab),
+            " ".join(vocab[40_000:60_000]),
+            " ".join(rng.choice(vocab) for _ in range(5_000)),
+            " ".join(vocab[-3:]),
+            "",
+        ]
+        assert_ids_match_shingles(texts)
 
 
 def test_intersect_urlsets():
