@@ -16,9 +16,14 @@ static uint64_t next_u64(uint64_t *state) {
 }
 
 /* Dual coordinate descent for the L1-loss linear SVM (Hsieh et al., ICML
- * 2008) on n CSR rows plus a constant bias feature 1.  w, alpha and out come
- * zeroed; out receives the bias, the epochs run and 1 if converged.  hist
- * receives max_epochs primal then max_epochs dual objectives, or is NULL. */
+ * 2008) on n CSR rows plus a constant bias feature 1, with the shrinking of
+ * pure.svm_fit: a pass shuffles and visits the active prefix of order, a
+ * row at a bound whose gradient lies outside the last pass's
+ * [pg_min_old, pg_max_old] is swapped behind it (a bound inside tol shrinks
+ * nothing), and only a full pass with max |PG| < tol converges.  w, alpha
+ * and out come zeroed; out receives the bias, the passes run and 1 if
+ * converged.  hist receives max_epochs primal then max_epochs dual
+ * objectives, or is NULL. */
 int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
             const double *y, int64_t n, int64_t nnz, int64_t dim, double C,
             double tol, int64_t max_epochs, uint64_t state, double *w,
@@ -26,7 +31,8 @@ int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
     double wb = 0.0, *qii = malloc((n + 1) * (sizeof(double) + sizeof(int64_t)));
     if (qii == NULL)
         return -2;
-    int64_t *order = (int64_t *)(qii + n);
+    int64_t *order = (int64_t *)(qii + n), active = n;
+    double pg_max_old = INFINITY, pg_min_old = -INFINITY;
     for (int64_t i = 0; i < n; i++) {
         double s = 0.0;
         if (indptr[i] < 0 || indptr[i] > indptr[i + 1] || indptr[i + 1] > nnz)
@@ -40,20 +46,27 @@ int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
         order[i] = i;
     }
     for (int64_t epoch = 0; epoch < max_epochs; epoch++) {
-        for (int64_t i = n - 1; i > 0; i--) { /* as rng.SplitMix64.shuffle */
+        for (int64_t i = active - 1; i > 0; i--) { /* as rng.SplitMix64.shuffle */
             int64_t j = (int64_t)(next_u64(&state) % (uint64_t)(i + 1)), t = order[i];
             order[i] = order[j];
             order[j] = t;
         }
-        double max_violation = 0.0;
-        for (int64_t pos = 0; pos < n; pos++) {
+        double pg_max = -INFINITY, pg_min = INFINITY;
+        for (int64_t pos = 0; pos < active;) {
             int64_t i = order[pos], lo = indptr[i], hi = indptr[i + 1];
-            double g = 0.0, a = alpha[i];
+            double g = 0.0, a = alpha[i], pg = 0.0;
             for (int64_t k = lo; k < hi; k++)
                 g += data[k] * w[indices[k]];
             g = y[i] * (g + wb) - 1.0;
-            double pg = a <= 0.0 ? (g < 0.0 ? g : 0.0) : a >= C ? (g > 0.0 ? g : 0.0) : g;
-            max_violation = fabs(pg) > max_violation ? fabs(pg) : max_violation;
+            if (a <= 0.0 ? g > pg_max_old : a >= C && g < pg_min_old) {
+                order[pos] = order[--active];
+                order[active] = i;
+                continue;
+            }
+            pg = a <= 0.0 ? (g < 0.0 ? g : 0.0) : a >= C ? (g > 0.0 ? g : 0.0) : g;
+            pg_max = pg > pg_max ? pg : pg_max;
+            pg_min = pg < pg_min ? pg : pg_min;
+            pos++;
             if (pg == 0.0)
                 continue;
             double a_new = a - g / qii[i];
@@ -82,10 +95,17 @@ int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
             hist[max_epochs + epoch] = asum - 0.5 * (reg + wb * wb);
         }
         out[1] = (double)(epoch + 1);
-        if (max_violation < tol) {
-            out[2] = 1.0;
-            break;
+        if ((pg_max > -pg_min ? pg_max : -pg_min) < tol) {
+            if (active == n) {
+                out[2] = 1.0;
+                break;
+            }
+            active = n;
+            pg_max_old = INFINITY, pg_min_old = -INFINITY;
+            continue;
         }
+        pg_max_old = pg_max >= tol ? pg_max : INFINITY;
+        pg_min_old = pg_min <= -tol ? pg_min : -INFINITY;
     }
     out[0] = wb;
     free(qii);

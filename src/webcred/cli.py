@@ -26,7 +26,7 @@ from .errors import (
 from .rng import stream_seed
 # transform is unused here but stays bound: perfbench's tracer self-test
 # checks that tracing wraps cli.transform.
-from .textprep import build_vocabulary, clean_text, tokenize, transform
+from .textprep import clean_text, tokenize, transform
 
 DEFAULT_SEED = 42
 
@@ -277,11 +277,17 @@ def _cmd_terms(args) -> None:
     scored = credibility.read_scores_csv(args.scores)
     urls = sorted(scored)
     docs = _docs_for_urls(args.docs, urls, "scored")
-    term_counts = [Counter(tokenize(clean_text(doc.text))) for doc in docs]
-    low = [t for u, t in zip(urls, term_counts) if scored[u].bucket == "low"]
-    other = [t for u, t in zip(urls, term_counts) if scored[u].bucket != "low"]
-    vocab = build_vocabulary(term_counts, min_df=args.min_df)
-    ranked = stats.term_significance(low, other, vocab.terms)
+    # Each side's document frequencies, from one pass over the pages.
+    low_df, other_df = Counter(), Counter()
+    n_low = 0
+    for url, doc in zip(urls, docs):
+        low = scored[url].bucket == "low"
+        n_low += low
+        (low_df if low else other_df).update(set(tokenize(clean_text(doc.text))))
+    vocab = textprep.vocabulary_from_df(low_df + other_df, len(urls), args.min_df)
+    ranked = stats.term_significance_from_df(
+        low_df, n_low, other_df, len(urls) - n_low, vocab.terms
+    )
     stats.write_terms_csv(ranked, args.out)
 
 

@@ -3,7 +3,10 @@
 The harness refits the vocabulary and TF-IDF weights inside every fold so
 no document frequency from a held-out fold leaks into training, and
 stratifies folds because several criteria are heavily imbalanced.
-``fit_features`` is that fit, shared by every fold and by ``train``.
+``fit_features`` is that fit, shared by every fold and by ``train``.  The
+documents' terms are interned once per ``cross_validate``, ``grid_search``
+or ``train`` call (``textprep.intern_pages``), so a fold's vocabulary is
+one ``np.bincount`` and its vectors one batch transform.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ import numpy as np
 from .errors import DataError, StratificationError, read_csv, write_csv
 from .models import FAMILIES, train_model
 from .rng import SplitMix64, stream_seed
-from .textprep import SparseVector, TfIdfModel, build_vocabulary, fit_tfidf, transform
+# transform is unused here but stays bound: perfbench's tracer self-test
+# checks that tracing wraps eval.transform.
+from .textprep import (
+    CsrMatrix, InternedPages, TfIdfModel, build_vocabulary, fit_tfidf, intern_pages,
+    transform, transform_pages,
+)
 
 DEFAULT_FOLDS = 10
 
@@ -144,26 +152,32 @@ def fold_summary(
 
 
 def fit_features(
-    train_docs: Sequence[Sequence[str]],
-) -> tuple[TfIdfModel, list[SparseVector]]:
+    train_docs: Sequence[Sequence[str]] | InternedPages,
+) -> tuple[TfIdfModel, CsrMatrix]:
     """The vocabulary and TF-IDF weights fitted on ``train_docs``, and the
-    vectors of those documents.
+    vectors of those documents.  A document may be its tokens or their
+    ``Counter``; documents already interned are not interned again.
 
     Raises DataError when no term survives pruning, since no model can
     learn from an empty feature space.
     """
-    vocab = build_vocabulary(train_docs)
+    pages = _interned(train_docs)
+    vocab = build_vocabulary(pages)
     if not len(vocab):
         raise DataError(
             "training documents yield an empty vocabulary: no term outside "
             f"the stop-words occurs in {vocab.min_df} or more of them"
         )
-    tfidf = fit_tfidf(train_docs, vocab)
-    return tfidf, [transform(tokens, tfidf) for tokens in train_docs]
+    tfidf = fit_tfidf(pages, vocab)
+    return tfidf, transform_pages(pages, tfidf)
+
+
+def _interned(docs: Sequence[Sequence[str]] | InternedPages) -> InternedPages:
+    return docs if isinstance(docs, InternedPages) else intern_pages(docs)
 
 
 def crossvalidate_candidates(
-    token_docs: Sequence[Sequence[str]],
+    token_docs: Sequence[Sequence[str]] | InternedPages,
     labels: Sequence[int],
     candidates: Sequence[tuple[str, dict | None]],
     k: int = DEFAULT_FOLDS,
@@ -174,8 +188,8 @@ def crossvalidate_candidates(
     Every candidate is scored on the same folds, and each fold's
     vocabulary, TF-IDF weights and vectors are built once and shared by
     all candidates.  A document may be its tokens or their ``Counter``;
-    callers that score many candidates or criteria pass the ``Counter``, so
-    each document is counted once.  Fold f trains with substream seed
+    callers that score many criteria intern the documents once and pass
+    the ``InternedPages``.  Fold f trains with substream seed
     stream_seed(seed, f), so folds can be evaluated in any order with
     identical results.
     """
@@ -184,13 +198,14 @@ def crossvalidate_candidates(
             f"got {len(token_docs)} documents but {len(labels)} labels"
         )
     folds = stratified_kfold(labels, k=k, seed=seed)
+    pages = _interned(token_docs)
     scores: list[tuple[list[float], list[float]]] = [([], []) for _ in candidates]
     for f, held_out in enumerate(folds):
         held = set(held_out)
         train_idx = [i for i in range(len(labels)) if i not in held]
-        tfidf, X_train = fit_features([token_docs[i] for i in train_idx])
+        tfidf, X_train = fit_features(pages.select(train_idx))
         y_train = [labels[i] for i in train_idx]
-        X_test = [transform(token_docs[i], tfidf) for i in held_out]
+        X_test = transform_pages(pages.select(held_out), tfidf).rows()
         y_test = [labels[i] for i in held_out]
         for (family, params), (f1s, accs) in zip(candidates, scores):
             model = train_model(
@@ -227,15 +242,17 @@ def cross_validate(
 ) -> CvReport:
     """Fold-averaged F1/accuracy for every criterion and model family.
 
-    All families of a criterion share its folds and fold features.
+    All families of a criterion share its folds and fold features, and
+    every criterion the documents' interned terms.
     """
+    pages = intern_pages(token_docs)
     candidates = [
         (family, (params_by_family or {}).get(family)) for family in families
     ]
     rows: list[CvRow] = []
     for criterion in sorted(labels_by_criterion):
         scores = crossvalidate_candidates(
-            token_docs, labels_by_criterion[criterion], candidates, k=k, seed=seed
+            pages, labels_by_criterion[criterion], candidates, k=k, seed=seed
         )
         for (family, _params), (f1s, accs) in zip(candidates, scores):
             rows.append(CvRow(criterion, family, *fold_summary(f1s, accs)))

@@ -21,7 +21,7 @@ from . import _kernels
 from .errors import DataError, json_number, json_numbers
 from .rng import SplitMix64, stream_seed
 from .svm import _validate_training_set
-from .textprep import SparseVector, to_dense
+from .textprep import CsrMatrix, SparseVector, to_csr
 
 DEFAULT_N_ESTIMATORS = 10
 MIN_IMPURITY_SPLIT = 1e-7
@@ -236,21 +236,23 @@ def _check_n_estimators(n_estimators) -> None:
 
 
 def train_random_forest(
-    X: Sequence[SparseVector],
+    X: Sequence[SparseVector] | CsrMatrix,
     y: Sequence[int],
     n_estimators: int = DEFAULT_N_ESTIMATORS,
     min_impurity_split: float = MIN_IMPURITY_SPLIT,
     seed: int = 0,
     threads: int = 1,
 ) -> ForestModel:
-    """Train ``n_estimators`` bagged Gini trees on 0/1 labels.
+    """Train ``n_estimators`` bagged Gini trees on 0/1 labels, given the
+    rows as ``SparseVector``s or as one ``CsrMatrix``.
 
     With ``threads > 1`` trees train concurrently; tree i always uses the
     substream stream_seed(seed, i), so the forest is identical either way.
     """
     _check_n_estimators(n_estimators)
+    X = to_csr(X)
     _validate_training_set(X, y)
-    dense = to_dense(X)
+    dense = X.to_dense()
     labels = np.asarray(y, dtype=np.int8)
 
     def build(i: int) -> Tree:

@@ -11,7 +11,7 @@ from .forest import (
     DEFAULT_N_ESTIMATORS, ForestModel, _check_n_estimators, train_random_forest
 )
 from .svm import DEFAULT_C, SvmModel, _check_c, train_linear_svm
-from .textprep import SparseVector
+from .textprep import CsrMatrix, SparseVector
 
 # Every model family; cv rows and model provenance follow this order.
 FAMILIES = ("svm", "rf")
@@ -30,7 +30,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
 
 def train_model(
     family: str,
-    X: Sequence[SparseVector],
+    X: Sequence[SparseVector] | CsrMatrix,
     y: Sequence[int],
     params: dict | None = None,
     seed: int = 0,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DataError, write_csv
 from .textprep import document_frequency
@@ -204,16 +204,35 @@ def term_significance(
     """2x2 association stats for each of ``terms`` (each given once), most
     significant first.
 
-    Presence is counted once per document.  Rows are ranked by p ascending,
-    then |ln OR| descending, then term, so the output order is total.
+    Presence is counted once per document; the ranking is that of
+    ``term_significance_from_df``.
     """
-    if not docs_low or not docs_other:
+    return term_significance_from_df(
+        document_frequency(docs_low), len(docs_low),
+        document_frequency(docs_other), len(docs_other),
+        terms,
+    )
+
+
+def term_significance_from_df(
+    low_df: Mapping[str, int],
+    n_low: int,
+    other_df: Mapping[str, int],
+    n_other: int,
+    terms: Sequence[str],
+) -> list[TermStat]:
+    """``term_significance`` for ``n_low`` low and ``n_other`` other
+    documents, given the number of each that contain each term (a term
+    missing from a mapping is in none).
+
+    Rows are ranked by p ascending, then |ln OR| descending, then term, so
+    the output order is total.
+    """
+    if not n_low or not n_other:
         raise DataError("both document sets must be non-empty")
-    low_df, other_df = document_frequency(docs_low), document_frequency(docs_other)
-    n_low, n_other = len(docs_low), len(docs_other)
     out: list[TermStat] = []
     for term in terms:
-        a, c = low_df[term], other_df[term]
+        a, c = low_df.get(term, 0), other_df.get(term, 0)
         b, d = n_low - a, n_other - c
         ratio, ci_low, ci_high = odds_ratio_ci(a, b, c, d)
         out.append(

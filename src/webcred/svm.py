@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError, json_number, json_numbers
-from .textprep import SparseVector, to_csr
+from .textprep import CsrMatrix, SparseVector, to_csr
 
 logger = logging.getLogger(__name__)
 
@@ -96,10 +96,10 @@ class SvmModel:
         return model
 
 
-def _validate_training_set(X: Sequence[SparseVector], y: Sequence[int]) -> None:
-    if len(X) != len(y):
-        raise DataError(f"got {len(X)} vectors but {len(y)} labels")
-    if len(X) < 2:
+def _validate_training_set(X: CsrMatrix, y: Sequence[int]) -> None:
+    if X.n_rows != len(y):
+        raise DataError(f"got {X.n_rows} vectors but {len(y)} labels")
+    if X.n_rows < 2:
         raise DataError("training needs at least 2 samples")
     classes = set(int(v) for v in y)
     if not classes <= {0, 1}:
@@ -118,7 +118,7 @@ def _check_c(C) -> None:
 
 
 def train_linear_svm(
-    X: Sequence[SparseVector],
+    X: Sequence[SparseVector] | CsrMatrix,
     y: Sequence[int],
     C: float = DEFAULT_C,
     seed: int = 0,
@@ -126,16 +126,19 @@ def train_linear_svm(
 ) -> SvmModel:
     """Train on 0/1 labels; class 0 is mapped to the -1 side.
 
+    ``X`` is the rows as ``SparseVector``s or as one ``CsrMatrix``.
     Deterministic for a fixed seed.  Stops when the largest projected
-    gradient over an epoch drops below ``TOLERANCE``, or after
-    ``MAX_EPOCHS`` epochs, which is logged as a warning.  The objective
+    gradient over a full pass drops below ``TOLERANCE``, or after
+    ``MAX_EPOCHS`` passes (shrunk ones included; see
+    ``_kernels.pure.svm_fit``), which is logged as a warning.  The objective
     histories are in the units of the module docstring's objective, and
     ``relative_gap`` is (P - D) / max(1, |P|) for that objective P and its
     dual D at the returned solution, both from ``_kernels.pure.objectives``.
     """
     _check_c(C)
+    X = to_csr(X)
     _validate_training_set(X, y)
-    indptr, indices, data, dim = to_csr(X)
+    indptr, indices, data, dim = X
     signs = np.where(np.asarray(y, dtype=np.float64) > 0.0, 1.0, -1.0)
     # The kernel's bias feature is 1.  On rows x*s with weights w/s and
     # C/s^2 its objective is the documented one divided by s^2, and its

@@ -9,6 +9,13 @@ A tokenized document is read only through its term counts: the vocabulary
 through the set of its terms, ``transform`` through ``Counter(tokens)``.
 So a ``Counter`` of a document's tokens gives the same result as the token
 list, and callers that read a document many times pass its ``Counter``.
+
+Model fitting reads its pages once more cheaply: ``intern_pages`` gives
+every distinct term a global id, its rank in lexicographic order, and each
+page its sorted (ids, counts) arrays.  A vocabulary over any subset of
+those pages is then one ``np.bincount``, its feature index is the rank of
+a kept global id, and ``transform_pages`` turns a subset into CSR arrays
+equal to stacking the per-page ``transform`` vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,14 +52,14 @@ upon us use used using way well went without yet
 """.split())
 
 _TOKEN = re.compile(r"[a-z0-9]+")
-_WHITESPACE = re.compile(r"\s+")
 # Everything that is neither printable ASCII nor whitespace.
 _DROPPED = re.compile(r"[^\x20-\x7e\s]+")
 
 
 def clean_text(raw: str) -> str:
     """Lowercase, strip non-ASCII symbols/emoji, collapse whitespace runs."""
-    return _WHITESPACE.sub(" ", _DROPPED.sub("", raw.lower())).strip()
+    # str.split() splits at exactly the characters re's \s matches.
+    return " ".join(_DROPPED.sub("", raw.lower()).split())
 
 
 def tokenize(cleaned: str) -> list[str]:
@@ -147,33 +154,125 @@ class SparseVector:
         return float(np.abs(self.values).sum())
 
 
+class CsrMatrix(NamedTuple):
+    """Sparse rows as CSR arrays: row i has the strictly increasing columns
+    ``indices[indptr[i]:indptr[i + 1]]`` with values ``data[...]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dim: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self) -> list[SparseVector]:
+        """Each row as a ``SparseVector`` of views into the arrays."""
+        bounds = self.indptr.tolist()
+        return [
+            SparseVector(self.indices[lo:hi], self.data[lo:hi], self.dim)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros((self.n_rows, self.dim))
+        row_of = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        dense[row_of, self.indices] = self.data
+        return dense
+
+
+@dataclass
+class InternedPages:
+    """Pages whose terms are interned: ``terms`` lists every distinct term
+    of the pages they were interned from in lexicographic order, so a
+    term's global id is its rank, and page i has the distinct terms
+    ``ids[indptr[i]:indptr[i + 1]]`` (sorted) with their ``counts``."""
+
+    terms: list[str]
+    id_of: dict[str, int]
+    indptr: np.ndarray
+    ids: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def select(self, rows: Sequence[int]) -> "InternedPages":
+        """The pages ``rows``, in that order, over the same global ids."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        take = np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        take += np.arange(indptr[-1])
+        return InternedPages(
+            self.terms, self.id_of, indptr, self.ids[take], self.counts[take]
+        )
+
+    def document_frequency(self) -> np.ndarray:
+        """The number of these pages each global id occurs in."""
+        return np.bincount(self.ids, minlength=len(self.terms))
+
+
+def intern_pages(docs: Sequence[Sequence[str]]) -> InternedPages:
+    """Intern tokenized documents (token lists or their ``Counter``s)."""
+    counted = [d if isinstance(d, Counter) else Counter(d) for d in docs]
+    terms = sorted(set().union(*counted))
+    id_of = {t: i for i, t in enumerate(terms)}
+    lengths = [len(c) for c in counted]
+    indptr = np.zeros(len(counted) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    nnz = int(indptr[-1])
+    ids = np.fromiter((id_of[t] for c in counted for t in c), np.int32, nnz)
+    counts = np.fromiter((n for c in counted for n in c.values()), np.float64, nnz)
+    # Sort each page's ids; its ids are distinct, so the order is total.
+    order = np.lexsort((ids, np.repeat(np.arange(len(counted)), lengths)))
+    return InternedPages(terms, id_of, indptr, ids[order], counts[order])
+
+
 def document_frequency(docs: Iterable[Iterable[str]]) -> Counter:
     """The number of ``docs`` each term occurs in."""
     return Counter(term for tokens in docs for term in set(tokens))
 
 
-def build_vocabulary(
-    docs: Sequence[Sequence[str]],
+def vocabulary_from_df(
+    df: Mapping[str, int],
+    n_docs: int,
     min_df: int = DEFAULT_MIN_DF,
     stopwords: Iterable[str] = STOPWORDS,
 ) -> Vocabulary:
-    """Vocabulary over tokenized docs, minus stop-words and rare terms.
+    """Vocabulary of ``n_docs`` documents whose terms occur in ``df[term]``
+    of them: the terms with df >= ``min_df`` that are not stop-words.
 
     Indices are assigned in lexicographic term order, so the feature space
     is a pure function of the corpus.
     """
-    if not docs:
+    if not n_docs:
         raise DataError("cannot build a vocabulary from an empty corpus")
     stop = frozenset(stopwords)
-    df = document_frequency(docs)
     kept = sorted(t for t, n in df.items() if n >= min_df and t not in stop)
     return Vocabulary(
         index={t: i for i, t in enumerate(kept)},
         df={t: df[t] for t in kept},
-        n_docs=len(docs),
+        n_docs=n_docs,
         min_df=min_df,
         stopwords=stop,
     )
+
+
+def build_vocabulary(
+    docs: Sequence[Sequence[str]] | InternedPages,
+    min_df: int = DEFAULT_MIN_DF,
+    stopwords: Iterable[str] = STOPWORDS,
+) -> Vocabulary:
+    """Vocabulary over tokenized docs or interned pages, minus stop-words
+    and terms in fewer than ``min_df`` of them (``vocabulary_from_df``)."""
+    pages = docs if isinstance(docs, InternedPages) else intern_pages(docs)
+    counts = pages.document_frequency()
+    present = np.flatnonzero(counts).tolist()
+    df = dict(zip([pages.terms[i] for i in present], counts[present].tolist()))
+    return vocabulary_from_df(df, len(pages), min_df, stopwords)
 
 
 def _idf_from_vocab(vocab: Vocabulary) -> np.ndarray:
@@ -187,9 +286,11 @@ def _idf_from_vocab(vocab: Vocabulary) -> np.ndarray:
     return idf
 
 
-def fit_tfidf(docs: Sequence[Sequence[str]], vocab: Vocabulary) -> TfIdfModel:
+def fit_tfidf(
+    docs: Sequence[Sequence[str]] | InternedPages, vocab: Vocabulary
+) -> TfIdfModel:
     """Fit idf(t) = ln((1+N)/(1+df(t))) + 1 over the vocabulary terms."""
-    if not docs:
+    if not len(docs):
         raise DataError("cannot fit TF-IDF on an empty corpus")
     return TfIdfModel(vocabulary=vocab, idf=_idf_from_vocab(vocab))
 
@@ -208,10 +309,40 @@ def transform(tokens: Sequence[str], model: TfIdfModel) -> SparseVector:
     return SparseVector(indices=indices, values=values, dim=model.dim)
 
 
-def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Stack sparse vectors into CSR arrays (indptr, indices, data, dim)."""
+def transform_pages(pages: InternedPages, model: TfIdfModel) -> CsrMatrix:
+    """The ``transform`` vectors of interned pages as one CSR matrix, equal
+    bit for bit to stacking them with ``to_csr``."""
+    index = model.vocabulary.index
+    column = np.full(len(pages.terms), -1, dtype=np.int32)
+    known = [(pages.id_of[t], i) for t, i in index.items() if t in pages.id_of]
+    if known:
+        ids, cols = zip(*known)
+        column[list(ids)] = cols
+    cols = column[pages.ids]
+    kept = cols >= 0
+    kept_before = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(kept, out=kept_before[1:])
+    indptr = kept_before[pages.indptr]
+    indices = cols[kept]
+    data = pages.counts[kept] * model.idf[indices]
+    # Each row over its own sum, as transform divides: that is numpy's
+    # pairwise sum, which np.add.reduceat and np.bincount do not reproduce.
+    bounds = indptr.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = data[lo:hi]
+        row /= row.sum()
+    return CsrMatrix(indptr, indices, data, model.dim)
+
+
+def to_csr(vectors: Sequence[SparseVector] | CsrMatrix) -> CsrMatrix:
+    """Stack sparse vectors into CSR arrays (indptr, indices, data, dim); a
+    ``CsrMatrix`` is returned as it is."""
+    if isinstance(vectors, CsrMatrix):
+        return vectors
     if not vectors:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32), np.empty(0), 0
+        return CsrMatrix(
+            np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32), np.empty(0), 0
+        )
     dim = vectors[0].dim
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
     for i, v in enumerate(vectors):
@@ -220,14 +351,9 @@ def to_csr(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.
         indptr[i + 1] = indptr[i] + len(v.indices)
     indices = np.concatenate([v.indices for v in vectors])
     data = np.concatenate([v.values for v in vectors])
-    return indptr, indices.astype(np.int32), data.astype(np.float64), dim
+    return CsrMatrix(indptr, indices.astype(np.int32), data.astype(np.float64), dim)
 
 
-def to_dense(vectors: Sequence[SparseVector]) -> np.ndarray:
+def to_dense(vectors: Sequence[SparseVector] | CsrMatrix) -> np.ndarray:
     """Stack sparse vectors into a dense (n_docs, dim) matrix."""
-    if not vectors:
-        return np.zeros((0, 0))
-    dense = np.zeros((len(vectors), vectors[0].dim))
-    for i, v in enumerate(vectors):
-        dense[i, v.indices] = v.values
-    return dense
+    return to_csr(vectors).to_dense()

@@ -8,8 +8,10 @@ replaced with faster equivalents; the dedupe oracle shares only the
 library's shingle and Jaccard helpers, and the language oracle only the
 bundled profile texts.  The SVM objective oracles are the per-row primal
 loop and the documented-scale duality gap that the library replaced with
-one kernel-scale objective function.  The tweet oracle is the record
-parser that the columnar one replaced; it shares only ``normalize_url``.
+one kernel-scale objective function, and the SVM solver oracle is the
+dual coordinate descent loop without shrinking.  The tweet oracle is the
+record parser that the columnar one replaced; it shares only
+``normalize_url``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from webcred._langdata import PROFILE_TEXTS
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import WebDocument, _shingles, jaccard, normalize_url
+from webcred.rng import SplitMix64
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -203,6 +206,57 @@ def svm_primal_oracle(indptr, indices, data, y, w, wb, C):
         if margin < 1.0:
             hinge += 1.0 - margin
     return float(0.5 * (w @ w + wb * wb) + C * hinge)
+
+
+def svm_fit_unshrunk_oracle(
+    indptr, indices, data, y, dim, C, tol, max_epochs, seed
+):
+    """The dual coordinate descent loop that ``_kernels.pure.svm_fit``
+    replaced with one that shrinks, kept verbatim as the reference: every
+    epoch visits every row, in a fresh shuffle, and stops once the largest
+    projected gradient of an epoch is under ``tol``.  Returns what
+    ``svm_fit`` returns, without objective histories."""
+    n = len(y)
+    w = np.zeros(dim)
+    wb = 0.0
+    rows = []
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        vals = data[lo:hi]
+        rows.append((indices[lo:hi], vals, float(y[i]), float(vals @ vals + 1.0)))
+    alpha = [0.0] * n
+    order = list(range(n))
+    rng = SplitMix64(seed)
+    epochs_run = 0
+    converged = False
+    for _ in range(max_epochs):
+        rng.shuffle(order)
+        max_violation = 0.0
+        for i in order:
+            cols, vals, yi, qi = rows[i]
+            w_row = w.take(cols)
+            g = yi * (float(vals.dot(w_row)) + wb) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if abs(pg) > max_violation:
+                max_violation = abs(pg)
+            if pg != 0.0:
+                a_new = min(max(a - g / qi, 0.0), C)
+                d = (a_new - a) * yi
+                if d != 0.0:
+                    w.put(cols, w_row + d * vals)
+                    wb += d
+                    alpha[i] = a_new
+        epochs_run += 1
+        if max_violation < tol:
+            converged = True
+            break
+    return w, wb, np.array(alpha), epochs_run, converged, None, None
 
 
 def svm_relative_gap_oracle(indptr, indices, data, signs, weights, bias, C, s, alpha):

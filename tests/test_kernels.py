@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import node_best_split_oracle, svm_primal_oracle
+from helpers import node_best_split_oracle, svm_fit_unshrunk_oracle, svm_primal_oracle
 from webcred import _kernels
 from webcred._kernels import pure
 
@@ -226,6 +226,73 @@ class TestSvmEquivalence:
         assert np.array_equal(out_pure[0], out_fast[0])
         assert out_pure[1] == out_fast[1]
         assert out_pure[3] == out_fast[3]
+
+
+SVM_TEST_EPOCHS = 20000
+
+
+@st.composite
+def svm_problems(draw):
+    """A CSR problem for ``svm_fit`` with its C and seed, and whether every
+    row has one nonzero.
+
+    2-40 rows of 1-8 nonzeros in (0.1, 1) over 1-60 features, labelled by
+    the sign of a random +-1 weighting of the features, so the rows are
+    linearly separable and the fits converge well inside the cap.  C spans
+    1e-2 to 1e3, so fits end with rows at alpha = 0, at alpha = C and in
+    between, and seeds include some at or above 2**63.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    single = draw(st.booleans())
+    n, dim = int(rng.integers(2, 41)), int(rng.integers(1, 61))
+    nnz = np.ones(n, dtype=np.int64) if single else rng.integers(1, min(8, dim) + 1, n)
+    indptr = np.concatenate([[0], np.cumsum(nnz)]).astype(np.int64)
+    indices = np.concatenate(
+        [np.sort(rng.choice(dim, k, replace=False)) for k in nnz]
+    ).astype(np.int32)
+    data = rng.uniform(0.1, 1.0, size=len(indices))
+    sides = rng.choice([-1.0, 1.0], size=dim)
+    scores = np.bincount(
+        np.repeat(np.arange(n), nnz), weights=data * sides[indices], minlength=n
+    )
+    y = np.where(scores >= 0.0, 1.0, -1.0)
+    C = float(10.0 ** rng.uniform(-2.0, 3.0))
+    seed = draw(st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1)))
+    return (indptr, indices, data, y, dim, C, 1e-4, SVM_TEST_EPOCHS, seed), single
+
+
+class TestSvmShrinking:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(problem=svm_problems())
+    def test_compiled_matches_pure(self, compiled_kernels, problem):
+        # Shrinking decides on each gradient, so a last-ulp difference in a
+        # dot product could change which rows a pass visits; the passes and
+        # the solution must still agree.
+        args, single = problem
+        w_p, b_p, a_p, e_p, c_p = pure.svm_fit(*args)[:5]
+        w_f, b_f, a_f, e_f, c_f = compiled_kernels.svm_fit(*args)[:5]
+        assert (e_p, c_p) == (e_f, c_f)
+        if single:
+            # One product per dot: both kernels round identically.
+            assert np.array_equal(w_p, w_f) and np.array_equal(a_p, a_f)
+            assert b_p == b_f
+        np.testing.assert_allclose(w_p, w_f, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(a_p, a_f, rtol=1e-9, atol=1e-12)
+        assert b_p == pytest.approx(b_f, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(problem=svm_problems())
+    def test_reaches_the_unshrunk_optimum(self, problem):
+        args, _single = problem
+        indptr, indices, data, y, _dim, C = args[:6]
+        gaps, primals = [], []
+        for fit in (pure.svm_fit, svm_fit_unshrunk_oracle):
+            w, wb, alpha, _epochs, converged = fit(*args)[:5]
+            assert converged
+            primal, dual = pure.objectives(indptr, indices, data, y, w, wb, C, alpha)
+            primals.append(primal)
+            gaps.append(primal - dual)
+        assert abs(primals[0] - primals[1]) <= max(gaps) + 1e-12
 
 
 def test_trees_identical_across_implementations_when_compiled_present(

@@ -6,22 +6,27 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import clean_text_oracle, dense_tfidf_oracle, make_random_token_docs
 from webcred.errors import DataError
 from webcred.eval import crossvalidate_criterion
-from webcred.stats import term_significance
+from webcred.stats import term_significance, term_significance_from_df
 from webcred.textprep import (
     STOPWORDS,
+    CsrMatrix,
     SparseVector,
     build_vocabulary,
     clean_text,
+    document_frequency,
     fit_tfidf,
+    intern_pages,
     to_csr,
     to_dense,
     tokenize,
     transform,
+    transform_pages,
+    vocabulary_from_df,
 )
 
 
@@ -51,6 +56,21 @@ class TestCleanText:
         )
     )
     def test_matches_the_per_character_loop(self, raw):
+        assert clean_text(raw) == clean_text_oracle(raw)
+
+    # Separators that str.split() and re's \s split at but that are easy to
+    # miss: the information separators, NEL, LINE SEPARATOR and the
+    # ideographic space, mixed densely with words and ASCII spaces.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        raw=st.text(
+            alphabet=st.sampled_from(
+                ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000",
+                 " ", "\t", "\n", "A", "b", "é"]
+            )
+        )
+    )
+    def test_matches_the_loop_on_rare_separators(self, raw):
         assert clean_text(raw) == clean_text_oracle(raw)
 
 
@@ -251,3 +271,94 @@ class TestTermCounts:
             return [v.hex() for v in f1s + accs]
 
         assert scores([Counter(tokens) for tokens in docs]) == scores(docs)
+
+
+# Each of the 64 rare terms is 1 draw in 81, so many fall under min_df 2;
+# "the" is a stop-word.
+BATCH_POOL = (
+    [f"term{i:02d}" for i in range(16)] + [f"rare{i:02d}" for i in range(64)] + ["the"]
+)
+BATCH_DOCS = st.lists(
+    st.lists(st.sampled_from(BATCH_POOL), max_size=40), min_size=1, max_size=12
+)
+# An empty page, pages with no term in the vocabulary (a stop-word, a rare
+# term) and a page with more than 8 distinct terms.
+EDGE_DOCS = [
+    [], ["the", "the"], ["rare00"],
+    [f"term{i:02d}" for i in range(12)] * 2, ["term00", "term03"],
+]
+
+
+def assert_same_csr(got: CsrMatrix, want: CsrMatrix) -> None:
+    assert got.dim == want.dim
+    assert np.array_equal(got.indptr, want.indptr)
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestBatchFeaturizer:
+    """Interned pages give the vocabulary and vectors the per-page path
+    gives, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(docs=BATCH_DOCS, rows=st.lists(st.integers(0, 11), min_size=1),
+           min_df=st.sampled_from([1, 2]), counted=st.booleans())
+    @example(docs=EDGE_DOCS, rows=[3, 4, 0, 1, 2], min_df=2, counted=False)
+    def test_equals_stacking_the_per_page_transform(
+        self, docs, rows, min_df, counted
+    ):
+        pages = intern_pages([Counter(d) for d in docs] if counted else docs)
+        rows = [r % len(docs) for r in rows]
+        train = [docs[r] for r in rows]
+        vocab = build_vocabulary(pages.select(rows), min_df=min_df)
+        want = build_vocabulary(train, min_df=min_df)
+        assert (vocab.index, vocab.df, vocab.n_docs) == (want.index, want.df, want.n_docs)
+        model = fit_tfidf(train, want)
+        # Every page, trained on or held out, as the model sees it.
+        assert_same_csr(
+            transform_pages(pages, model), to_csr([transform(d, model) for d in docs])
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(docs=BATCH_DOCS, min_df=st.sampled_from([1, 2]))
+    @example(docs=EDGE_DOCS, min_df=2)
+    def test_matches_the_dense_oracle(self, docs, min_df):
+        pages = intern_pages(docs)
+        model = fit_tfidf(pages, build_vocabulary(pages, min_df=min_df))
+        terms, matrix = dense_tfidf_oracle(docs, min_df, STOPWORDS)
+        assert model.vocabulary.terms == terms
+        got = transform_pages(pages, model).to_dense()
+        assert got.shape == (len(docs), len(terms))
+        if terms:
+            assert np.max(np.abs(got - np.asarray(matrix))) <= 1e-12
+
+    def test_select_keeps_the_given_order(self):
+        docs = [["flu", "shot"], [], ["dose", "flu", "flu"]]
+        pages = intern_pages(docs)
+        assert pages.terms == ["dose", "flu", "shot"]
+        picked = pages.select([2, 1, 0, 2])
+        assert picked.indptr.tolist() == [0, 2, 2, 4, 6]
+        assert picked.ids.tolist() == [0, 1, 1, 2, 0, 1]
+        assert picked.counts.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 2.0]
+
+    def test_csr_input_passes_through(self):
+        docs = [["flu", "shot"], ["flu"]]
+        model = fit_tfidf(docs, build_vocabulary(docs, min_df=1, stopwords=()))
+        csr = transform_pages(intern_pages(docs), model)
+        assert to_csr(csr) is csr
+        assert np.array_equal(to_dense(csr), to_dense(csr.rows()))
+
+    def test_vocabulary_from_df_is_the_document_rule(self):
+        docs = [["the", "flu", "shot"], ["flu", "dose"], ["flu", "shot"]]
+        for min_df in (1, 2, 3):
+            got = vocabulary_from_df(document_frequency(docs), len(docs), min_df)
+            want = build_vocabulary(docs, min_df=min_df)
+            assert (got.index, got.df, got.n_docs) == (want.index, want.df, want.n_docs)
+
+    def test_term_significance_from_df_is_the_document_count(self):
+        low, other = [["flu", "shot"], ["flu"]], [["dose"], ["flu", "dose"], []]
+        terms = ["dose", "flu", "shot"]
+        assert term_significance_from_df(
+            document_frequency(low), 2, document_frequency(other), 3, terms
+        ) == term_significance(low, other, terms)
