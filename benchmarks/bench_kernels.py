@@ -4,7 +4,11 @@
 Times the two hot kernels (dual coordinate descent and best-split
 search) on synthetic data of adjustable size and checks that the
 implementations agree on the result, so the benchmark doubles as a
-smoke test for the fallback path.  The split search is also timed
+smoke test for the fallback path.  A forest case times
+``train_random_forest``, which grows its trees in lockstep with one
+``node_best_splits`` call per step, against the one-tree-at-a-time loop
+in ``tests/helpers.py``, on each kernel; any tree that differs from the
+loop's exits 1.  The split search is also timed
 against the per-feature loop in ``tests/helpers.py`` that the pure
 kernel's blocked pass replaced, in three regimes: one large node, many
 small nodes, and nodes just large enough that the candidate features
@@ -30,15 +34,26 @@ from pathlib import Path
 
 import numpy as np
 
+from webcred import _kernels
 from webcred._kernels import LIBRARY, pure
 from webcred._kernels.compiled import load
+from webcred.forest import MIN_IMPURITY_SPLIT, train_random_forest
 from webcred.rng import SplitMix64
+from webcred.textprep import CsrMatrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import node_best_split_oracle  # noqa: E402
+from helpers import forest_trees_oracle, node_best_split_oracle  # noqa: E402
 
-compiled = load(LIBRARY) if LIBRARY.exists() else None
+# Trees in the forest case.
+FOREST_TREES = 10
+
+compiled = None
+if LIBRARY.exists():
+    try:
+        compiled = load(LIBRARY)
+    except OSError as exc:
+        print(f"note: {exc}; timing the pure kernels only", file=sys.stderr)
 
 
 def make_sparse_problem(n_docs: int, n_features: int, nnz_per_doc: int, seed: int):
@@ -119,6 +134,43 @@ def time_splits(title: str, calls: list[tuple], repeats: int) -> bool:
     return agree
 
 
+def time_forest(title: str, X: CsrMatrix, y: list[int], n_trees: int, seed: int,
+                repeats: int) -> bool:
+    """Time the lockstep forest and the one-tree-at-a-time loop on every
+    kernel; True when every tree equals the loop's bit for bit."""
+    print(title)
+    dense, labels = X.to_dense(), np.asarray(y, dtype=np.int8)
+    impls = [("pure", pure)]
+    if compiled is not None:
+        impls.append(("compiled", compiled))
+    agree = True
+    active = _kernels.node_best_splits
+    try:
+        for name, impl in impls:
+            _kernels.node_best_splits = impl.node_best_splits
+            t_loop, want = time_call(
+                forest_trees_oracle, dense, labels, n_trees, seed,
+                MIN_IMPURITY_SPLIT, impl.node_best_split, repeats=repeats,
+            )
+            t, forest = time_call(
+                train_random_forest, X, y, n_trees, MIN_IMPURITY_SPLIT, seed,
+                repeats=repeats,
+            )
+            mismatches = sum(
+                a.to_dict() != b.to_dict() for a, b in zip(forest.trees, want)
+            )
+            nodes = sum(len(tree.feature) for tree in want)
+            print(f"  {name:9s} loop {t_loop:8.3f} s  lockstep {t:8.3f} s  "
+                  f"({t_loop / t:5.1f}x, {nodes} nodes, "
+                  f"{mismatches} of {n_trees} trees differ)")
+            agree = agree and mismatches == 0
+    finally:
+        _kernels.node_best_splits = active
+    if not agree:
+        print("  WARNING: lockstep trees differ from the loop's")
+    return agree
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--docs", type=int, default=1500)
@@ -191,6 +243,15 @@ def main() -> int:
         f"node_best_split, block-crossing: 50 calls on {n_cross}-row nodes "
         f"({n_cross * args.node_features} values)",
         crossing,
+        args.repeats,
+    )
+
+    # The SVM problem's rows, labelled by class, as a forest training set.
+    indptr, indices, data, y_svm, dim = problem
+    labels = (y_svm > 0).astype(int).tolist()
+    agree &= time_forest(
+        f"train_random_forest: {FOREST_TREES} trees on the svm_fit problem",
+        CsrMatrix(indptr, indices, data, dim), labels, FOREST_TREES, args.seed,
         args.repeats,
     )
     return 0 if agree else 1

@@ -6,6 +6,10 @@ this file, e.g. by ``python setup.py build_ext --inplace``; setting the
 environment variable ``WEBCRED_PURE_KERNELS=1`` forces the fallback, which
 is useful for benchmarking and for debugging suspected kernel issues.
 ``ACTIVE_IMPL`` records which path is in use ("compiled" or "pure").
+
+``svm_fit`` fits one linear SVM.  ``node_best_splits`` scores a batch of
+tree nodes in one call, which is how the forest's lockstep growth asks
+for one step's splits; ``node_best_split`` is its one-node case.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ if os.environ.get("WEBCRED_PURE_KERNELS") != "1" and LIBRARY.exists():
     try:
         _impl = load(LIBRARY)  # type: ignore[assignment]
         ACTIVE_IMPL = "compiled"
-    except OSError:
+    except OSError:  # unloadable, or built from an older kernels.c
         pass
 
 svm_fit = _impl.svm_fit
+node_best_splits = _impl.node_best_splits
 node_best_split = _impl.node_best_split
 
-__all__ = ["ACTIVE_IMPL", "LIBRARY", "node_best_split", "pure", "svm_fit"]
+__all__ = [
+    "ACTIVE_IMPL", "LIBRARY", "node_best_split", "node_best_splits", "pure", "svm_fit",
+]

@@ -145,26 +145,19 @@ static void sort_pairs(double *v, int8_t *lab, int64_t lo, int64_t hi) {
     }
 }
 
-/* Best Gini split of node `rows` of the row-major n_rows x n_cols matrix X
- * over features `feats`, with n_y 0/1 labels y.  out receives the feature
- * (-1 if no split exists), the threshold and the weighted Gini. */
-int node_best_split(const double *X, int64_t n_rows, int64_t n_cols,
-                    const int32_t *rows, int64_t m, const int32_t *feats,
-                    int64_t n_feats, const int8_t *y, int64_t n_y, double *out) {
+/* Best Gini split of the m rows `rows` of the row-major n_rows x n_cols
+ * matrix X over features `feats`, with labels y, using the scratch arrays v
+ * and lab of m entries.  out receives the feature (-1 if no split exists),
+ * the threshold and the weighted Gini. */
+static void best_split(const double *X, int64_t n_cols, const int32_t *rows,
+                       int64_t m, const int32_t *feats, int64_t n_feats,
+                       const int8_t *y, double *v, int8_t *lab, double *out) {
     int64_t total1 = 0;
     out[0] = -1.0, out[1] = 0.0, out[2] = INFINITY;
-    for (int64_t i = 0; i < m; i++) {
-        if (rows[i] < 0 || rows[i] >= n_rows || rows[i] >= n_y)
-            return -1;
+    if (m < 2)
+        return;
+    for (int64_t i = 0; i < m; i++)
         total1 += y[rows[i]];
-    }
-    for (int64_t fi = 0; fi < n_feats; fi++)
-        if (feats[fi] < 0 || feats[fi] >= n_cols)
-            return -1;
-    double *v = m < 2 ? NULL : malloc(m * (sizeof(double) + sizeof(int8_t)));
-    if (v == NULL)
-        return m < 2 ? 0 : -2;
-    int8_t *lab = (int8_t *)(v + m);
     for (int64_t fi = 0; fi < n_feats; fi++) {
         int64_t f = feats[fi], cum1 = 0;
         double feat_score = INFINITY, feat_thr = 0.0;
@@ -193,6 +186,34 @@ int node_best_split(const double *X, int64_t n_rows, int64_t n_cols,
         if (feat_score < out[2])
             out[0] = (double)f, out[1] = feat_thr, out[2] = feat_score;
     }
+}
+
+/* Best Gini split of each of n_nodes tree nodes: node i holds the rows
+ * rows[row_ptr[i] .. row_ptr[i + 1]) of the row-major n_rows x n_cols
+ * matrix X and the n_feats candidate features feats[i * n_feats ..], with
+ * n_y 0/1 labels y.  out receives 3 doubles per node, as best_split. */
+int node_best_splits(const double *X, int64_t n_rows, int64_t n_cols,
+                     const int32_t *rows, const int64_t *row_ptr, int64_t n_nodes,
+                     const int32_t *feats, int64_t n_feats, const int8_t *y,
+                     int64_t n_y, double *out) {
+    int64_t width = 0;
+    for (int64_t i = 0; i < n_nodes; i++) {
+        int64_t m = row_ptr[i + 1] - row_ptr[i];
+        width = m > width ? m : width;
+    }
+    for (int64_t k = 0; k < row_ptr[n_nodes]; k++)
+        if (rows[k] < 0 || rows[k] >= n_rows || rows[k] >= n_y)
+            return -1;
+    for (int64_t k = 0; k < n_nodes * n_feats; k++)
+        if (feats[k] < 0 || feats[k] >= n_cols)
+            return -1;
+    double *v = width < 2 ? NULL : malloc(width * (sizeof(double) + sizeof(int8_t)));
+    if (v == NULL && width >= 2)
+        return -2;
+    int8_t *lab = v == NULL ? NULL : (int8_t *)(v + width);
+    for (int64_t i = 0; i < n_nodes; i++)
+        best_split(X, n_cols, rows + row_ptr[i], row_ptr[i + 1] - row_ptr[i],
+                   feats + i * n_feats, n_feats, y, v, lab, out + 3 * i);
     free(v);
     return 0;
 }

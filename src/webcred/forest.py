@@ -11,7 +11,6 @@ function of (data, hyperparams, seed) regardless of thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DataError, json_number, json_numbers
-from .rng import SplitMix64, stream_seed
+from .rng import next_u64_rows, samples_without_replacement, stream_seed
 from .svm import _validate_training_set
 from .textprep import CsrMatrix, SparseVector, to_csr
 
@@ -163,68 +162,103 @@ class ForestModel:
         )
 
 
-def _build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    tree_seed: int,
-    min_impurity_split: float,
-) -> Tree:
-    n, n_features = X.shape
-    rng = SplitMix64(tree_seed)
-    # n draws of randbelow(n), taken at once.
-    boot = (rng.next_u64_array(n) % np.uint64(n)).astype(np.int32)
-    n_sub = max(1, math.isqrt(n_features))
+class _Growth:
+    """One tree's node lists and depth-first stack while it grows."""
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    count0: list[int] = []
-    count1: list[int] = []
+    def __init__(self, boot: np.ndarray, y: np.ndarray):
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.count0: list[int] = []
+        self.count1: list[int] = []
+        self.stack = [(self.new_node(len(boot), int(y[boot].sum())), boot)]
 
-    def new_node(rows: np.ndarray) -> int:
-        idx = len(feature)
-        c1 = int(y[rows].sum())
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        count0.append(len(rows) - c1)
-        count1.append(c1)
+    def new_node(self, n_rows: int, c1: int) -> int:
+        idx = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.count0.append(n_rows - c1)
+        self.count1.append(c1)
         return idx
 
-    # Depth-first, left child first, so the RNG draws per node in a fixed
-    # order no matter how the arrays are laid out.
-    stack = [(new_node(boot), boot)]
-    while stack:
-        idx, rows = stack.pop()
-        if gini_impurity((count0[idx], count1[idx])) < min_impurity_split:
-            continue
-        feats = np.array(
-            rng.sample_without_replacement(n_features, n_sub), dtype=np.int32
+    def next_impure(self, min_impurity_split: float):
+        """Pop nodes until one is at or above the impurity floor; None once
+        the stack runs out."""
+        while self.stack:
+            idx, rows = self.stack.pop()
+            if gini_impurity((self.count0[idx], self.count1[idx])) < min_impurity_split:
+                continue
+            return idx, rows
+        return None
+
+    def to_tree(self) -> Tree:
+        return Tree(
+            feature=np.array(self.feature, dtype=np.int32),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.int32),
+            right=np.array(self.right, dtype=np.int32),
+            count0=np.array(self.count0, dtype=np.int64),
+            count1=np.array(self.count1, dtype=np.int64),
         )
-        feat, thr, _score = _kernels.node_best_split(X, rows, feats, y)
-        if feat < 0:
-            continue
-        mask = X[rows, feat] <= thr
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        feature[idx] = feat
-        threshold[idx] = thr
-        left_idx = new_node(left_rows)
-        right_idx = new_node(right_rows)
-        left[idx] = left_idx
-        right[idx] = right_idx
-        stack.append((right_idx, right_rows))
-        stack.append((left_idx, left_rows))
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        count0=np.array(count0, dtype=np.int64),
-        count1=np.array(count1, dtype=np.int64),
-    )
+
+
+def _grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    tree_seeds: Sequence[int],
+    min_impurity_split: float,
+) -> list[Tree]:
+    """One tree per seed, grown in lockstep.
+
+    Tree t draws from the SplitMix64 stream ``tree_seeds[t]``: n bootstrap
+    draws of randbelow(n), then one sample of sqrt(V) candidate features
+    per impure node.  Nodes are expanded depth first, left child first,
+    so each stream is consumed in a fixed order.  Each step takes the next
+    impure node of every tree that has one, draws all of their feature
+    samples at once and scores all of the nodes with one
+    ``_kernels.node_best_splits`` call.
+    """
+    n, n_features = X.shape
+    n_sub = max(1, math.isqrt(n_features))
+    states = np.array(tree_seeds, dtype=np.uint64)
+    # n draws of randbelow(n) per tree, taken at once.
+    boots = (next_u64_rows(states, n) % np.uint64(n)).astype(np.int32)
+    growths = [_Growth(boot, y) for boot in boots]
+    while True:
+        step = []
+        for t, growth in enumerate(growths):
+            node = growth.next_impure(min_impurity_split)
+            if node is not None:
+                step.append((t, *node))
+        if not step:
+            break
+        growing = [t for t, _idx, _rows in step]
+        feats, states[growing] = samples_without_replacement(
+            states[growing], n_features, n_sub
+        )
+        splits = _kernels.node_best_splits(
+            X, [rows for _t, _idx, rows in step], feats.astype(np.int32), y
+        )
+        for (t, idx, rows), (feat, thr, _score) in zip(step, splits):
+            if feat < 0:
+                continue
+            growth = growths[t]
+            mask = X[rows, feat] <= thr
+            left_rows = rows[mask]
+            right_rows = rows[~mask]
+            c1_left = int(y[left_rows].sum())
+            growth.feature[idx] = feat
+            growth.threshold[idx] = thr
+            left_idx = growth.new_node(len(left_rows), c1_left)
+            right_idx = growth.new_node(len(right_rows), growth.count1[idx] - c1_left)
+            growth.left[idx] = left_idx
+            growth.right[idx] = right_idx
+            growth.stack.append((right_idx, right_rows))
+            growth.stack.append((left_idx, left_rows))
+    return [growth.to_tree() for growth in growths]
 
 
 def _check_n_estimators(n_estimators) -> None:
@@ -246,23 +280,31 @@ def train_random_forest(
     """Train ``n_estimators`` bagged Gini trees on 0/1 labels, given the
     rows as ``SparseVector``s or as one ``CsrMatrix``.
 
-    With ``threads > 1`` trees train concurrently; tree i always uses the
-    substream stream_seed(seed, i), so the forest is identical either way.
+    The trees grow in lockstep (see :func:`_grow_trees`).  With
+    ``threads > 1`` they are split into that many lockstep groups that
+    train concurrently; tree i always uses the substream
+    stream_seed(seed, i), so the forest is identical either way.
     """
     _check_n_estimators(n_estimators)
     X = to_csr(X)
     _validate_training_set(X, y)
     dense = X.to_dense()
     labels = np.asarray(y, dtype=np.int8)
+    seeds = [stream_seed(seed, i) for i in range(n_estimators)]
 
-    def build(i: int) -> Tree:
-        return _build_tree(dense, labels, stream_seed(seed, i), min_impurity_split)
+    def grow(part: Sequence[int]) -> list[Tree]:
+        return _grow_trees(dense, labels, part, min_impurity_split)
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_estimators)))
+        from concurrent.futures import ThreadPoolExecutor
+
+        n_parts = min(threads, n_estimators)
+        with ThreadPoolExecutor(max_workers=n_parts) as pool:
+            grown = list(pool.map(grow, [seeds[g::n_parts] for g in range(n_parts)]))
+        # Part g holds trees g, g + n_parts, ...; put them back in order.
+        trees = [grown[i % n_parts][i // n_parts] for i in range(n_estimators)]
     else:
-        trees = [build(i) for i in range(n_estimators)]
+        trees = grow(seeds)
     return ForestModel(
         trees=trees,
         n_features=dense.shape[1],

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DataError, read_csv
 from .exposure import UserProfile
@@ -143,6 +142,25 @@ def classify_nodes(graph: FollowerGraph) -> FollowerGraph:
     return graph
 
 
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``: &, > and < as entities.  Importing
+    saxutils also loads urllib.request, http.client, ssl and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr``: ``text`` escaped, with newline,
+    carriage return and tab as character references, in double quotes, or
+    in single quotes when it holds a double quote but no single one."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+    text = text.replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"%s"' % text.replace('"', "&quot;")
+
+
 def _graphml(graph: FollowerGraph) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -154,14 +172,14 @@ def _graphml(graph: FollowerGraph) -> str:
     ]
     for user_id in sorted(graph.nodes):
         node = graph.nodes[user_id]
-        lines.append(f"    <node id={quoteattr(user_id)}>")
-        lines.append(f"      <data key=\"d0\">{escape(user_id)}</data>")
+        lines.append(f"    <node id={_quoteattr(user_id)}>")
+        lines.append(f"      <data key=\"d0\">{_escape(user_id)}</data>")
         lines.append(f"      <data key=\"d1\">{node.follower_count}</data>")
-        lines.append(f"      <data key=\"d2\">{escape(node.node_class)}</data>")
+        lines.append(f"      <data key=\"d2\">{_escape(node.node_class)}</data>")
         lines.append("    </node>")
     for follower, followee in sorted(graph.edges):
         lines.append(
-            f"    <edge source={quoteattr(follower)} target={quoteattr(followee)}/>"
+            f"    <edge source={_quoteattr(follower)} target={_quoteattr(followee)}/>"
         )
     lines.append("  </graph>")
     lines.append("</graphml>")

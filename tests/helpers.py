@@ -9,7 +9,9 @@ library's shingle and Jaccard helpers, and the language oracle only the
 bundled profile texts.  The SVM objective oracles are the per-row primal
 loop and the documented-scale duality gap that the library replaced with
 one kernel-scale objective function, and the SVM solver oracle is the
-dual coordinate descent loop without shrinking.  The tweet oracle is the
+dual coordinate descent loop without shrinking, and the shrinking loop
+that gathered and scattered through int32 columns.  The tree oracle is the
+one-tree-at-a-time loop that the lockstep forest replaced.  The tweet oracle is the
 record parser that the columnar one replaced; it shares only
 ``normalize_url``.
 """
@@ -31,7 +33,8 @@ import numpy as np
 from webcred._langdata import PROFILE_TEXTS
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import WebDocument, _shingles, jaccard, normalize_url
-from webcred.rng import SplitMix64
+from webcred.forest import Tree, gini_impurity
+from webcred.rng import SplitMix64, stream_seed
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -195,6 +198,79 @@ def node_best_split_oracle(X, rows, feats, y):
     return best_feat, best_thr, best_score
 
 
+def build_tree_oracle(X, y, tree_seed, min_impurity_split, split):
+    """The one-tree-at-a-time loop that ``forest._grow_trees`` replaced
+    with trees grown in lockstep, kept verbatim as the reference except
+    that the split kernel ``split`` (a ``node_best_split``) is a parameter:
+    one ``sample_without_replacement`` and one split call per impure node,
+    depth first, left child first."""
+    n, n_features = X.shape
+    rng = SplitMix64(tree_seed)
+    # n draws of randbelow(n), taken at once.
+    boot = (rng.next_u64_array(n) % np.uint64(n)).astype(np.int32)
+    n_sub = max(1, math.isqrt(n_features))
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    count0: list[int] = []
+    count1: list[int] = []
+
+    def new_node(rows: np.ndarray) -> int:
+        idx = len(feature)
+        c1 = int(y[rows].sum())
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        count0.append(len(rows) - c1)
+        count1.append(c1)
+        return idx
+
+    # Depth-first, left child first, so the RNG draws per node in a fixed
+    # order no matter how the arrays are laid out.
+    stack = [(new_node(boot), boot)]
+    while stack:
+        idx, rows = stack.pop()
+        if gini_impurity((count0[idx], count1[idx])) < min_impurity_split:
+            continue
+        feats = np.array(
+            rng.sample_without_replacement(n_features, n_sub), dtype=np.int32
+        )
+        feat, thr, _score = split(X, rows, feats, y)
+        if feat < 0:
+            continue
+        mask = X[rows, feat] <= thr
+        left_rows = rows[mask]
+        right_rows = rows[~mask]
+        feature[idx] = feat
+        threshold[idx] = thr
+        left_idx = new_node(left_rows)
+        right_idx = new_node(right_rows)
+        left[idx] = left_idx
+        right[idx] = right_idx
+        stack.append((right_idx, right_rows))
+        stack.append((left_idx, left_rows))
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        count0=np.array(count0, dtype=np.int64),
+        count1=np.array(count1, dtype=np.int64),
+    )
+
+
+def forest_trees_oracle(X, y, n_estimators, seed, min_impurity_split, split):
+    """The trees of ``train_random_forest`` on dense X and int8 labels y,
+    built one at a time by :func:`build_tree_oracle`."""
+    return [
+        build_tree_oracle(X, y, stream_seed(seed, i), min_impurity_split, split)
+        for i in range(n_estimators)
+    ]
+
+
 def svm_primal_oracle(indptr, indices, data, y, w, wb, C):
     """The per-row loop that ``_kernels.pure.objectives`` replaced with
     one ``np.bincount`` over all nonzeros, kept verbatim as the reference:
@@ -257,6 +333,100 @@ def svm_fit_unshrunk_oracle(
             converged = True
             break
     return w, wb, np.array(alpha), epochs_run, converged, None, None
+
+
+def svm_fit_take_put_oracle(
+    indptr, indices, data, y, dim, C, tol, max_epochs, seed
+):
+    """The shrinking dual coordinate descent loop that
+    ``_kernels.pure.svm_fit`` replaced with one that indexes w through intp
+    columns, kept verbatim as the reference (less the objective
+    histories): w is gathered with ``take`` and scattered with ``put`` on
+    the int32 columns.  Returns what
+    ``svm_fit`` returns, without objective histories."""
+    n = len(y)
+    w = np.zeros(dim)
+    wb = 0.0
+    # The hot loop is bound by interpreter overhead, not arithmetic: each
+    # row's (cols, vals, y_i, Q_ii) is sliced once with the scalars as
+    # Python floats, the dot uses ndarray.dot (the same routine as ``@`` for
+    # 1-D operands, with less dispatch), w is gathered with ``take`` and
+    # scattered with ``put`` (cheaper calls than ``w[cols]`` indexing, same
+    # values) and the update reuses the gathered row.  Q_ii = x_i . x_i + 1
+    # for the augmented bias feature.
+    rows = []
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        vals = data[lo:hi]
+        rows.append((indices[lo:hi], vals, float(y[i]), float(vals @ vals + 1.0)))
+    alpha = [0.0] * n
+    order = list(range(n))
+    active = n
+    pg_max_old, pg_min_old = math.inf, -math.inf
+    rng = SplitMix64(seed)
+    epochs_run = 0
+    converged = False
+    for _ in range(max_epochs):
+        prefix = order[:active]
+        rng.shuffle(prefix)
+        order[:active] = prefix
+        pg_max, pg_min = -math.inf, math.inf
+        pos = 0
+        while pos < active:
+            i = order[pos]
+            cols, vals, yi, qi = rows[i]
+            w_row = w.take(cols)
+            g = yi * (float(vals.dot(w_row)) + wb) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                if g > pg_max_old:
+                    active -= 1
+                    order[pos], order[active] = order[active], i
+                    continue
+                pg = min(g, 0.0)
+            elif a >= C:
+                if g < pg_min_old:
+                    active -= 1
+                    order[pos], order[active] = order[active], i
+                    continue
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg > pg_max:
+                pg_max = pg
+            if pg < pg_min:
+                pg_min = pg
+            pos += 1
+            if pg != 0.0:
+                a_new = min(max(a - g / qi, 0.0), C)
+                d = (a_new - a) * yi
+                if d != 0.0:
+                    w.put(cols, w_row + d * vals)
+                    wb += d
+                    alpha[i] = a_new
+        epochs_run += 1
+        if max(pg_max, -pg_min) < tol:
+            if active == n:
+                converged = True
+                break
+            active = n
+            pg_max_old, pg_min_old = math.inf, -math.inf
+            continue
+        # A bound inside the tolerance counts as no bound, as LIBLINEAR
+        # counts one of the wrong sign: it is rounding noise from a free
+        # row's just-updated gradient, and its sign would decide whether a
+        # pass shrinks every row at that bound or none.
+        pg_max_old = pg_max if pg_max >= tol else math.inf
+        pg_min_old = pg_min if pg_min <= -tol else -math.inf
+    return (
+        w,
+        wb,
+        np.array(alpha),
+        epochs_run,
+        converged,
+        None,
+        None,
+    )
 
 
 def svm_relative_gap_oracle(indptr, indices, data, signs, weights, bias, C, s, alpha):

@@ -1,15 +1,31 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import make_marker_corpus
+from helpers import forest_trees_oracle, make_marker_corpus
 from webcred import _kernels
+from webcred._kernels import pure
 from webcred.errors import DataError
-from webcred.forest import ForestModel, Tree, gini_impurity, train_random_forest
-from webcred.textprep import SparseVector, build_vocabulary, fit_tfidf, transform
+from webcred.forest import (
+    MIN_IMPURITY_SPLIT,
+    ForestModel,
+    Tree,
+    gini_impurity,
+    train_random_forest,
+)
+from webcred.textprep import (
+    CsrMatrix,
+    SparseVector,
+    build_vocabulary,
+    fit_tfidf,
+    to_csr,
+    transform,
+)
 
 
 def tfidf_vectors(token_docs):
@@ -257,3 +273,73 @@ class TestTreeShape:
                     assert tree.left[i] == -1
                     assert tree.right[i] == -1
                     assert tree.count0[i] + tree.count1[i] >= 1
+
+
+def dense_to_csr(X: np.ndarray) -> CsrMatrix:
+    nonzero = X != 0.0
+    indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))]).astype(np.int64)
+    return CsrMatrix(indptr, np.nonzero(nonzero)[1].astype(np.int32), X[nonzero], X.shape[1])
+
+
+@st.composite
+def forest_problems(draw):
+    """A small training set with tie-heavy, negative-valued or mixed
+    columns, both classes present, and forest settings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_cols = draw(st.integers(2, 40)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["ties", "negative", "mixed"]))
+    if kind == "ties":
+        X = rng.choice([0.0, 0.0, 0.0, 0.25, 0.5, 1.0], size=(n, n_cols))
+    elif kind == "negative":
+        X = np.where(rng.random((n, n_cols)) < 0.5, rng.integers(-2, 3, (n, n_cols)),
+                     -rng.random((n, n_cols)))
+    else:
+        X = np.where(rng.random((n, n_cols)) < 0.6, 0.0, rng.normal(size=(n, n_cols)))
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1]
+    return {
+        "X": dense_to_csr(X),
+        "y": y.tolist(),
+        "n_estimators": draw(st.integers(1, 12)),
+        "min_impurity_split": draw(st.sampled_from([MIN_IMPURITY_SPLIT, 0.3])),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+
+
+class TestLockstepGrowth:
+    """Trees grown in lockstep equal, bit for bit, the trees of the
+    one-tree-at-a-time loop on the same kernel."""
+
+    def assert_matches_the_loop(self, impl, problem, threads):
+        with mock.patch.object(_kernels, "node_best_splits", impl.node_best_splits):
+            forest = train_random_forest(**problem, threads=threads)
+        want = forest_trees_oracle(
+            problem["X"].to_dense(), np.asarray(problem["y"], dtype=np.int8),
+            problem["n_estimators"], problem["seed"], problem["min_impurity_split"],
+            impl.node_best_split,
+        )
+        assert len(forest.trees) == problem["n_estimators"]
+        assert [json.dumps(t.to_dict()) for t in forest.trees] == [
+            json.dumps(t.to_dict()) for t in want
+        ]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(problem=forest_problems(), threads=st.sampled_from([1, 3]))
+    def test_pure(self, problem, threads):
+        self.assert_matches_the_loop(pure, problem, threads)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(problem=forest_problems(), threads=st.sampled_from([1, 3]))
+    def test_compiled(self, compiled_kernels, problem, threads):
+        self.assert_matches_the_loop(compiled_kernels, problem, threads)
+
+    def test_marker_corpus_on_the_active_kernel(self):
+        docs, labels = make_marker_corpus(60, seed=8)
+        X = to_csr(tfidf_vectors(docs))
+        for threads in (1, 3):
+            forest = train_random_forest(X, labels, n_estimators=12, seed=9, threads=threads)
+            want = forest_trees_oracle(
+                X.to_dense(), np.asarray(labels, dtype=np.int8), 12, 9,
+                MIN_IMPURITY_SPLIT, _kernels.node_best_split,
+            )
+            assert [t.to_dict() for t in forest.trees] == [t.to_dict() for t in want]

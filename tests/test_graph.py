@@ -1,7 +1,9 @@
 import random
 from collections import deque
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from webcred.errors import DataError
 from webcred.exposure import UserProfile
@@ -10,6 +12,8 @@ from webcred.graph import (
     LOW_SHARER,
     UNCLASSIFIED,
     FollowerGraph,
+    _escape,
+    _quoteattr,
     build_follower_graph,
     classify_nodes,
     export_graph,
@@ -310,3 +314,10 @@ class TestReadFollowersCsv:
         path.write_text("u1,u2,extra\n")
         with pytest.raises(DataError):
             read_followers_csv(path)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.text(alphabet="&<>\"'\n\r\tab;#", max_size=30))
+def test_xml_escapes_match_saxutils(text):
+    assert _escape(text) == saxutils.escape(text)
+    assert _quoteattr(text) == saxutils.quoteattr(text)

@@ -1,13 +1,20 @@
 import os
 import random
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import node_best_split_oracle, svm_fit_unshrunk_oracle, svm_primal_oracle
+from helpers import (
+    node_best_split_oracle,
+    svm_fit_take_put_oracle,
+    svm_fit_unshrunk_oracle,
+    svm_primal_oracle,
+)
 from webcred import _kernels
 from webcred._kernels import pure
 
@@ -69,6 +76,36 @@ def test_env_override_forces_pure_fallback():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "pure"
+
+
+def test_library_without_a_kernel_falls_back_to_pure(tmp_path):
+    # A library built in place from an older kernels.c lacks
+    # node_best_splits; importing the package must still work.
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler to build the stub library")
+    from webcred._kernels.compiled import load
+
+    package = tmp_path / "webcred"
+    shutil.copytree(Path(_kernels.__file__).parents[1], package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    stub = tmp_path / "stub.c"
+    stub.write_text("int svm_fit(void) { return 0; }\n")
+    lib = package / "_kernels" / _kernels.LIBRARY.name
+    subprocess.run([cc, "-shared", "-fPIC", str(stub), "-o", str(lib)], check=True)
+    with pytest.raises(OSError, match="node_best_splits"):
+        load(lib)
+    code = (
+        "import webcred.cli; from webcred import _kernels; "
+        "print(_kernels.ACTIVE_IMPL, _kernels.LIBRARY.exists())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    env.pop("WEBCRED_PURE_KERNELS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["pure", "True"]
 
 
 class TestSplitEquivalence:
@@ -167,6 +204,100 @@ class TestSplitOracle:
         assert split_key(pure.node_best_split(*problem)) == split_key(
             node_best_split_oracle(*problem)
         )
+
+
+@st.composite
+def split_batches(
+    draw, node_rows=st.integers(0, 40), max_nodes=12, min_feats=0, max_feats=10
+):
+    """One X and labels, with a batch of 1 to ``max_nodes`` nodes, each
+    with its own rows (drawn with replacement) and candidate features;
+    some nodes have fewer than 2 rows."""
+    X, _rows, _feats, y = draw(
+        split_problems(node_rows=st.just(0), min_feats=min_feats, max_feats=max_feats)
+    )
+    n, n_cols = X.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_nodes = draw(st.integers(1, max_nodes))
+    k = draw(st.integers(min_feats, n_cols))
+    rows = [
+        rng.integers(0, n, draw(st.one_of(st.sampled_from([0, 1, 2]), node_rows)))
+        .astype(np.int32)
+        for _ in range(n_nodes)
+    ]
+    feats = np.array(
+        [rng.permutation(n_cols)[:k] for _ in range(n_nodes)], dtype=np.int32
+    ).reshape(n_nodes, k)
+    return X, rows, feats, y
+
+
+def assert_batch_matches_oracle(impl, X, rows, feats, y):
+    got = impl.node_best_splits(X, rows, feats, y)
+    assert len(got) == len(rows)
+    for node_rows, node_feats, split in zip(rows, feats, got):
+        assert split_key(split) == split_key(
+            node_best_split_oracle(X, node_rows, node_feats, y)
+        )
+
+
+class TestBatchedSplits:
+    """One node_best_splits call returns, for every node of a batch, what
+    the per-feature loop returns for that node alone."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batch=split_batches())
+    def test_matches_the_per_node_oracle(self, batch):
+        assert_batch_matches_oracle(pure, *batch)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        batch=split_batches(
+            node_rows=st.integers(2100, 3000), max_nodes=6, min_feats=8, max_feats=16
+        )
+    )
+    def test_matches_across_block_boundaries(self, batch):
+        # A node of at least 2100 rows and 8 features holds more values
+        # than a block: its features are scored in several blocks, and
+        # each node of the batch is scored in a group of its own.
+        _X, rows, _feats, _y = batch
+        assume(any(len(r) >= 2100 for r in rows))
+        assert_batch_matches_oracle(pure, *batch)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(batch=split_batches())
+    def test_compiled_matches_the_per_node_oracle(self, compiled_kernels, batch):
+        assert_batch_matches_oracle(compiled_kernels, *batch)
+
+    def test_groups_nodes_up_to_the_block_size(self, monkeypatch):
+        # 40 nodes of 30 rows x 4 features: 136 nodes fit a block, so one
+        # group takes them all; with a block of 1,000 values, 8 nodes do.
+        rng = np.random.default_rng(3)
+        X = np.round(rng.random((50, 6)), 1)
+        y = rng.integers(0, 2, 50).astype(np.int8)
+        rows = [rng.integers(0, 50, 30).astype(np.int32) for _ in range(40)]
+        feats = np.array([rng.permutation(6)[:4] for _ in rows], dtype=np.int32)
+        groups = []
+        score_group = pure._score_group
+
+        def spy(X, rows, feats, y, nodes, best):
+            groups.append(len(nodes))
+            score_group(X, rows, feats, y, nodes, best)
+
+        monkeypatch.setattr(pure, "_score_group", spy)
+        assert_batch_matches_oracle(pure, X, rows, feats, y)
+        monkeypatch.setattr(pure, "_BLOCK_ELEMENTS", 1000)
+        assert_batch_matches_oracle(pure, X, rows, feats, y)
+        assert groups == [40] + [8] * 5
+
+    def test_empty_batch_and_no_features(self, compiled_kernels):
+        X = np.ones((3, 2))
+        y = np.array([0, 1, 0], dtype=np.int8)
+        rows = [np.array([0, 1, 2], dtype=np.int32)]
+        for impl in (pure, compiled_kernels):
+            assert impl.node_best_splits(X, [], np.zeros((0, 1), np.int32), y) == []
+            assert impl.node_best_splits(X, rows, np.zeros((1, 0), np.int32), y) == [
+                (-1, 0.0, np.inf)
+            ]
 
 
 class TestSvmObjectives:
@@ -280,6 +411,18 @@ class TestSvmShrinking:
         np.testing.assert_allclose(a_p, a_f, rtol=1e-9, atol=1e-12)
         assert b_p == pytest.approx(b_f, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(problem=svm_problems())
+    def test_matches_the_take_put_loop_bit_for_bit(self, problem):
+        # Intp gathers and scatters change only how the loop calls numpy,
+        # not one value it computes.
+        args, _single = problem
+        got = pure.svm_fit(*args)
+        want = svm_fit_take_put_oracle(*args)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[1] == want[1] and got[3:5] == want[3:5]
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(problem=svm_problems())
     def test_reaches_the_unshrunk_optimum(self, problem):
@@ -311,8 +454,10 @@ def test_trees_identical_across_implementations_when_compiled_present(
     tfidf = fit_tfidf(docs, vocab)
     X = [transform(d, tfidf) for d in docs]
 
-    monkeypatch.setattr(_kernels, "node_best_split", pure.node_best_split)
+    # The forest scores each lockstep step's nodes with one
+    # node_best_splits call, so that is the binding to swap.
+    monkeypatch.setattr(_kernels, "node_best_splits", pure.node_best_splits)
     with_pure = train_random_forest(X, labels, seed=33).to_dict()
-    monkeypatch.setattr(_kernels, "node_best_split", compiled_kernels.node_best_split)
+    monkeypatch.setattr(_kernels, "node_best_splits", compiled_kernels.node_best_splits)
     with_compiled = train_random_forest(X, labels, seed=33).to_dict()
     assert json.dumps(with_pure) == json.dumps(with_compiled)
