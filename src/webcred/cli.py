@@ -239,11 +239,10 @@ def _load_model(path: str | Path):
 def _cmd_score(args) -> None:
     ensemble, tfidf = _load_model(args.model)
     deduped, _report = _filtered_docs(args.docs, args.min_words, args.jaccard)
-    results = [
-        (doc.url, credibility.predict_credibility(doc, ensemble, tfidf))
-        for doc in deduped
-    ]
-    credibility.write_scores_csv(results, args.out)
+    results = credibility.predict_pages(deduped, ensemble, tfidf)
+    credibility.write_scores_csv(
+        [(doc.url, result) for doc, result in zip(deduped, results)], args.out
+    )
 
 
 def _cmd_evaluate(args) -> None:

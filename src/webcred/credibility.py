@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DataError, json_number, read_csv, write_csv
 from .eval import CvReport
@@ -19,7 +21,9 @@ from .forest import ForestModel
 from .ingest import WebDocument
 from .models import FAMILIES, model_from_dict, pick_best
 from .svm import SvmModel
-from .textprep import TfIdfModel, clean_text, tokenize, transform
+# transform is unused here but stays bound: perfbench's tracer self-test
+# checks that tracing wraps credibility.transform.
+from .textprep import TfIdfModel, clean_text, tokenize, transform, transform_docs
 
 N_CRITERIA = 7
 
@@ -135,24 +139,33 @@ def build_ensemble(
     return EnsembleModel(entries=entries)
 
 
-def predict_criteria(
-    tokens: Sequence[str], ensemble: EnsembleModel, tfidf: TfIdfModel
-) -> tuple[int, ...]:
-    x = transform(tokens, tfidf)
-    return tuple(
-        ensemble.entries[k].model.predict(x) for k in range(1, N_CRITERIA + 1)
+def predict_pages(
+    docs: Iterable[WebDocument], ensemble: EnsembleModel, tfidf: TfIdfModel
+) -> list[CredibilityResult]:
+    """Clean, tokenize and vectorize the pages into one CSR batch, one page
+    at a time, then apply each of the 7 criterion models to all of its rows
+    at once.  Raises DataError for the first page with no text left after
+    cleaning."""
+
+    def tokenized() -> Iterator[list[str]]:
+        for doc in docs:
+            cleaned = clean_text(doc.text)
+            if not cleaned:
+                raise DataError(f"document {doc.url}: no text left after cleaning")
+            yield tokenize(cleaned)
+
+    X = transform_docs(tokenized(), tfidf)
+    labels = np.column_stack(
+        [ensemble.entries[k].model.predict_batch(X) for k in range(1, N_CRITERIA + 1)]
     )
+    return [score_from_labels(row) for row in labels.tolist()]
 
 
 def predict_credibility(
     doc: WebDocument, ensemble: EnsembleModel, tfidf: TfIdfModel
 ) -> CredibilityResult:
-    """Clean, tokenize, vectorize, and apply all 7 criterion models."""
-    cleaned = clean_text(doc.text)
-    if not cleaned:
-        raise DataError(f"document {doc.url}: no text left after cleaning")
-    labels = predict_criteria(tokenize(cleaned), ensemble, tfidf)
-    return score_from_labels(labels)
+    """``predict_pages`` of one page."""
+    return predict_pages([doc], ensemble, tfidf)[0]
 
 
 def evaluate_ensemble(
@@ -175,9 +188,9 @@ def evaluate_ensemble(
     index = {b: i for i, b in enumerate(BUCKETS)}
     confusion = [[0, 0, 0] for _ in BUCKETS]
     correct = 0
-    for doc, labels in zip(docs, gold_labels):
-        gold = score_from_labels(labels).bucket
-        predicted = predict_credibility(doc, ensemble, tfidf).bucket
+    gold_buckets = [score_from_labels(labels).bucket for labels in gold_labels]
+    for gold, result in zip(gold_buckets, predict_pages(docs, ensemble, tfidf)):
+        predicted = result.bucket
         confusion[index[gold]][index[predicted]] += 1
         if gold == predicted:
             correct += 1

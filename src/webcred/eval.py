@@ -6,7 +6,8 @@ stratifies folds because several criteria are heavily imbalanced.
 ``fit_features`` is that fit, shared by every fold and by ``train``.  The
 documents' terms are interned once per ``cross_validate``, ``grid_search``
 or ``train`` call (``textprep.intern_pages``), so a fold's vocabulary is
-one ``np.bincount`` and its vectors one batch transform.
+one ``np.bincount``, its vectors one batch transform and each model's
+held-out predictions one batch predict.
 """
 
 from __future__ import annotations
@@ -205,13 +206,13 @@ def crossvalidate_candidates(
         train_idx = [i for i in range(len(labels)) if i not in held]
         tfidf, X_train = fit_features(pages.select(train_idx))
         y_train = [labels[i] for i in train_idx]
-        X_test = transform_pages(pages.select(held_out), tfidf).rows()
+        X_test = transform_pages(pages.select(held_out), tfidf)
         y_test = [labels[i] for i in held_out]
         for (family, params), (f1s, accs) in zip(candidates, scores):
             model = train_model(
                 family, X_train, y_train, params, seed=stream_seed(seed, f)
             )
-            f1, acc = f1_and_accuracy(y_test, [model.predict(x) for x in X_test])
+            f1, acc = f1_and_accuracy(y_test, model.predict_batch(X_test).tolist())
             f1s.append(f1)
             accs.append(acc)
     return scores

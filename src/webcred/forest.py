@@ -41,6 +41,28 @@ def gini_impurity(class_counts: tuple[int, int]) -> float:
     return (total * total - n0 * n0 - n1 * n1) / (total * total)
 
 
+class _Cells:
+    """Entry lookups x[row, col] in the rows of a ``CsrMatrix``, without
+    densifying them: one ``searchsorted`` over the sorted row*dim + col
+    keys of the stored entries.  An entry not stored is 0."""
+
+    def __init__(self, X: CsrMatrix):
+        self.n_rows, self.dim = X.n_rows, X.dim
+        # Each row's first key, then a sentinel past every key, so each
+        # search lands on an entry; built in place, one array of nnz keys.
+        starts = np.append(
+            np.arange(X.n_rows, dtype=np.int64) * X.dim, np.iinfo(np.int64).max
+        )
+        self.keys = np.repeat(starts, np.append(np.diff(X.indptr), 1))
+        self.keys[:-1] += X.indices
+        self.data = np.append(X.data, 0.0)
+
+    def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        wanted = rows * self.dim + cols
+        at = np.searchsorted(self.keys, wanted)
+        return np.where(self.keys[at] == wanted, self.data[at], 0.0)
+
+
 @dataclass
 class Tree:
     """One decision tree as parallel node arrays (node 0 is the root).
@@ -57,14 +79,40 @@ class Tree:
     count0: np.ndarray
     count1: np.ndarray
 
+    def predict_batch(self, X: CsrMatrix) -> np.ndarray:
+        """The 0/1 prediction of every row of ``X``."""
+        if self.feature.max() >= X.dim:
+            raise DataError(
+                f"tree splits on feature {self.feature.max()} of "
+                f"{X.dim}-dimensional rows"
+            )
+        return self._votes(_Cells(X), np.zeros(1, dtype=np.intp)).astype(np.int8)
+
+    def _votes(self, cells: _Cells, roots: np.ndarray) -> np.ndarray:
+        """For each row, the number of trees rooted at ``roots`` in these
+        node arrays whose leaf votes 1.  Every (tree, row) pair descends
+        one level per pass; ``active`` are the pairs still at a split."""
+        n = cells.n_rows
+        node = np.repeat(roots, n)
+        rows = np.tile(np.arange(n), len(roots))
+        active = np.arange(len(node))
+        while True:
+            feature = self.feature[node[active]]
+            inner = feature >= 0
+            active, feature = active[inner], feature[inner]
+            if not len(active):
+                break
+            at = node[active]
+            go_left = cells.values(rows[active], feature) <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+        ones = self.count1[node] >= self.count0[node]
+        return ones.reshape(len(roots), n).sum(axis=0)
+
     def predict_dense(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return 1 if self.count1[node] >= self.count0[node] else 0
+        x = np.asarray(x, dtype=np.float64)
+        cols = np.flatnonzero(x)
+        row = CsrMatrix(np.array([0, len(cols)]), cols, x[cols], len(x))
+        return int(self.predict_batch(row)[0])
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
@@ -106,15 +154,19 @@ class ForestModel:
     def dim(self) -> int:
         return self.n_features
 
-    def predict(self, x: SparseVector) -> int:
-        if x.dim != self.n_features:
+    def predict_batch(self, X: CsrMatrix) -> np.ndarray:
+        """The 0/1 prediction of every row of ``X``."""
+        if X.dim != self.n_features:
             raise DataError(
-                f"vector dimension {x.dim} does not match model dimension "
+                f"vector dimension {X.dim} does not match model dimension "
                 f"{self.n_features}"
             )
-        dense = x.to_dense()
-        votes = sum(tree.predict_dense(dense) for tree in self.trees)
-        return 1 if 2 * votes >= len(self.trees) else 0
+        stacked, roots = _stack(self.trees)
+        votes = stacked._votes(_Cells(X), roots)
+        return (2 * votes >= len(self.trees)).astype(np.int8)
+
+    def predict(self, x: SparseVector) -> int:
+        return int(self.predict_batch(to_csr([x]))[0])
 
     def to_dict(self) -> dict:
         return {
@@ -160,6 +212,23 @@ class ForestModel:
             ),
             seed=json_number(data["seed"], "seed", integer=True),
         )
+
+
+def _stack(trees: Sequence[Tree]) -> tuple[Tree, np.ndarray]:
+    """The trees' node arrays end to end, as one ``Tree`` whose children
+    index the stacked arrays, and the index of each tree's root."""
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.zeros(len(trees), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=roots[1:])
+    stacked = {
+        f.name: np.concatenate([getattr(tree, f.name) for tree in trees])
+        for f in fields(Tree)
+    }
+    # A leaf's -1 children shift too, but no descent reads them.
+    shift = np.repeat(roots, sizes)
+    stacked["left"] = stacked["left"] + shift
+    stacked["right"] = stacked["right"] + shift
+    return Tree(**stacked), roots
 
 
 class _Growth:

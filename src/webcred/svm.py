@@ -52,15 +52,31 @@ class SvmModel:
     def dim(self) -> int:
         return len(self.weights)
 
-    def decision_function(self, x: SparseVector) -> float:
-        if x.dim != self.dim:
+    def decision_batch(self, X: CsrMatrix) -> np.ndarray:
+        """w.x + b of every row of ``X``.  Each row is its own dot product
+        over its stored entries, so a row's decision does not depend on the
+        other rows of the batch."""
+        if X.dim != self.dim:
             raise DataError(
-                f"vector dimension {x.dim} does not match model dimension {self.dim}"
+                f"vector dimension {X.dim} does not match model dimension {self.dim}"
             )
-        return float(x.values @ self.weights[x.indices] + self.bias)
+        indptr, indices, data, _dim = X
+        bounds = indptr.tolist()
+        dots = [
+            data[lo:hi] @ self.weights[indices[lo:hi]]
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return np.array(dots, dtype=np.float64) + self.bias
+
+    def predict_batch(self, X: CsrMatrix) -> np.ndarray:
+        """The 0/1 prediction of every row of ``X``."""
+        return (self.decision_batch(X) >= 0.0).astype(np.int8)
+
+    def decision_function(self, x: SparseVector) -> float:
+        return float(self.decision_batch(to_csr([x]))[0])
 
     def predict(self, x: SparseVector) -> int:
-        return 1 if self.decision_function(x) >= 0.0 else 0
+        return int(self.predict_batch(to_csr([x]))[0])
 
     def to_dict(self) -> dict:
         data = {

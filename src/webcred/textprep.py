@@ -5,23 +5,27 @@ frequency idf(t) = ln((1+N)/(1+df(t))) + 1, l1-normalized per document.
 The fitted model records its formula, stop-word list, and pruning floor so
 a persisted model file fully determines the feature space.
 
-A tokenized document is read only through its term counts: the vocabulary
-through the set of its terms, ``transform`` through ``Counter(tokens)``.
-So a ``Counter`` of a document's tokens gives the same result as the token
+A tokenized document is read only through its term counts, so a
+``Counter`` of a document's tokens gives the same result as the token
 list, and callers that read a document many times pass its ``Counter``.
 
-Model fitting reads its pages once more cheaply: ``intern_pages`` gives
-every distinct term a global id, its rank in lexicographic order, and each
-page its sorted (ids, counts) arrays.  A vocabulary over any subset of
-those pages is then one ``np.bincount``, its feature index is the rank of
-a kept global id, and ``transform_pages`` turns a subset into CSR arrays
-equal to stacking the per-page ``transform`` vectors.
+Every featurization ends in one row builder, ``_tfidf_rows``, which turns
+per-page (feature index, count) pairs into l1-normalized CSR rows.  Two
+front ends feed it.  Model fitting interns its pages once:
+``intern_pages`` gives every distinct term a global id, its rank in
+lexicographic order, and each page its sorted (ids, counts) arrays; a
+vocabulary over any subset of those pages is then one ``np.bincount``, and
+``transform_pages`` maps a subset's ids to feature indices.  A fixed
+model's pages (``score``, ``evaluate``) go through ``transform_docs``,
+which reads them one at a time and keeps only their in-vocabulary counts.
+``transform`` is its one-document case.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -113,7 +117,7 @@ class TfIdfModel:
     @classmethod
     def from_dict(cls, data: dict) -> "TfIdfModel":
         """Inverse of :meth:`to_dict`.  Raises DataError unless the norm is
-        l1 (the one ``transform`` applies), the counts are integers and the
+        l1 (the one the featurizer applies), the counts are integers and the
         vocab indices number the V terms 0..V-1, each once."""
         if data.get("idf_formula") != IDF_FORMULA:
             raise DataError(f"unsupported idf formula: {data.get('idf_formula')!r}")
@@ -295,23 +299,66 @@ def fit_tfidf(
     return TfIdfModel(vocabulary=vocab, idf=_idf_from_vocab(vocab))
 
 
-def transform(tokens: Sequence[str], model: TfIdfModel) -> SparseVector:
-    """TF-IDF vector of one tokenized document, l1-normalized.
+def _tfidf_rows(
+    indptr: np.ndarray, columns: np.ndarray, counts: np.ndarray, model: TfIdfModel
+) -> CsrMatrix:
+    """The l1-normalized TF-IDF rows of documents whose row i has the
+    distinct feature indices ``columns[indptr[i]:indptr[i + 1]]``, in any
+    order, with their term ``counts``."""
+    # A vocabulary read from a model file may number its terms in any order.
+    # The stable sort (a timsort) of row*dim + column keys is near linear
+    # on rows that are already sorted, as a fitted vocabulary's are.
+    keys = np.repeat(
+        np.arange(len(indptr) - 1, dtype=np.int64) * model.dim, np.diff(indptr)
+    )
+    keys += columns
+    order = np.argsort(keys, kind="stable")
+    del keys  # each array of nnz entries alive at once adds to score's peak
+    indices = columns[order].astype(np.int32, copy=False)
+    data = model.idf[indices]
+    data *= counts[order]
+    # Each row over its own sum: that is numpy's pairwise sum, which
+    # np.add.reduceat and np.bincount do not reproduce.
+    bounds = indptr.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = data[lo:hi]
+        row /= row.sum()
+    return CsrMatrix(indptr, indices, data, model.dim)
 
-    Out-of-vocabulary terms are ignored; a document with no in-vocabulary
-    terms maps to the zero vector.
+
+def transform_docs(docs: Iterable[Sequence[str]], model: TfIdfModel) -> CsrMatrix:
+    """TF-IDF rows of tokenized documents (token lists or their
+    ``Counter``s), l1-normalized.
+
+    The documents are read one at a time, so ``docs`` may be a generator,
+    and only their in-vocabulary counts are kept.  Out-of-vocabulary terms
+    are ignored; a document with no in-vocabulary terms maps to an empty
+    (zero) row.
     """
     index = model.vocabulary.index
-    pairs = sorted((index[t], n) for t, n in Counter(tokens).items() if t in index)
-    indices = np.array([i for i, _ in pairs], dtype=np.int32)
-    values = np.array([n for _, n in pairs], dtype=np.float64) * model.idf[indices]
-    values /= values.sum()
-    return SparseVector(indices=indices, values=values, dim=model.dim)
+    ends, columns, counts = array("q", [0]), array("i"), array("i")
+    for doc in docs:
+        for term, n in (doc if isinstance(doc, Counter) else Counter(doc)).items():
+            i = index.get(term)
+            if i is not None:
+                columns.append(i)
+                counts.append(n)
+        ends.append(len(columns))
+    return _tfidf_rows(
+        np.frombuffer(ends, dtype=np.int64),
+        np.frombuffer(columns, dtype=np.intc),
+        np.frombuffer(counts, dtype=np.intc),
+        model,
+    )
+
+
+def transform(tokens: Sequence[str], model: TfIdfModel) -> SparseVector:
+    """TF-IDF vector of one tokenized document: ``transform_docs`` of it."""
+    return transform_docs([tokens], model).rows()[0]
 
 
 def transform_pages(pages: InternedPages, model: TfIdfModel) -> CsrMatrix:
-    """The ``transform`` vectors of interned pages as one CSR matrix, equal
-    bit for bit to stacking them with ``to_csr``."""
+    """TF-IDF rows of interned pages, as ``transform_docs`` gives them."""
     index = model.vocabulary.index
     column = np.full(len(pages.terms), -1, dtype=np.int32)
     known = [(pages.id_of[t], i) for t, i in index.items() if t in pages.id_of]
@@ -322,16 +369,7 @@ def transform_pages(pages: InternedPages, model: TfIdfModel) -> CsrMatrix:
     kept = cols >= 0
     kept_before = np.zeros(len(kept) + 1, dtype=np.int64)
     np.cumsum(kept, out=kept_before[1:])
-    indptr = kept_before[pages.indptr]
-    indices = cols[kept]
-    data = pages.counts[kept] * model.idf[indices]
-    # Each row over its own sum, as transform divides: that is numpy's
-    # pairwise sum, which np.add.reduceat and np.bincount do not reproduce.
-    bounds = indptr.tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        row = data[lo:hi]
-        row /= row.sum()
-    return CsrMatrix(indptr, indices, data, model.dim)
+    return _tfidf_rows(kept_before[pages.indptr], cols[kept], pages.counts[kept], model)
 
 
 def to_csr(vectors: Sequence[SparseVector] | CsrMatrix) -> CsrMatrix:

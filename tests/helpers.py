@@ -13,7 +13,8 @@ dual coordinate descent loop without shrinking, and the shrinking loop
 that gathered and scattered through int32 columns.  The tree oracle is the
 one-tree-at-a-time loop that the lockstep forest replaced.  The tweet oracle is the
 record parser that the columnar one replaced; it shares only
-``normalize_url``.
+``normalize_url``.  The TF-IDF and predict oracles are the per-page
+featurizer and the per-row model walks that the CSR batch path replaced.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import numpy as np
 from webcred._langdata import PROFILE_TEXTS
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import WebDocument, _shingles, jaccard, normalize_url
-from webcred.forest import Tree, gini_impurity
+from webcred.forest import ForestModel, Tree, gini_impurity
 from webcred.rng import SplitMix64, stream_seed
+from webcred.svm import SvmModel
+from webcred.textprep import SparseVector, TfIdfModel
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -119,6 +122,42 @@ def dense_tfidf_oracle(
             row = [v / total for v in row]
         matrix.append(row)
     return terms, matrix
+
+
+def transform_oracle(tokens, model: TfIdfModel) -> SparseVector:
+    """The per-page TF-IDF vector that ``textprep.transform_docs`` replaced
+    with one batch row builder, kept verbatim as the reference: the term
+    counts, sorted (feature index, count) pairs, times idf, over their sum."""
+    index = model.vocabulary.index
+    pairs = sorted((index[t], n) for t, n in Counter(tokens).items() if t in index)
+    indices = np.array([i for i, _ in pairs], dtype=np.int32)
+    values = np.array([n for _, n in pairs], dtype=np.float64) * model.idf[indices]
+    values /= values.sum()
+    return SparseVector(indices=indices, values=values, dim=model.dim)
+
+
+def tree_predict_oracle(tree: Tree, x: np.ndarray) -> int:
+    """The scalar walk of one dense row down a tree, that ``Tree`` replaced
+    with all rows of a CSR batch descending together."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return 1 if tree.count1[node] >= tree.count0[node] else 0
+
+
+def forest_predict_oracle(forest: ForestModel, x: SparseVector) -> int:
+    """The per-row forest vote: x densified, then every tree walked."""
+    dense = x.to_dense()
+    votes = sum(tree_predict_oracle(tree, dense) for tree in forest.trees)
+    return 1 if 2 * votes >= len(forest.trees) else 0
+
+
+def svm_decision_oracle(model: SvmModel, x: SparseVector) -> float:
+    """The per-row SVM decision w.x + b over the row's stored entries."""
+    return float(x.values @ model.weights[x.indices] + model.bias)
 
 
 def clean_text_oracle(raw: str) -> str:

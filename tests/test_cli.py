@@ -874,6 +874,40 @@ def test_train_on_a_corpus_without_shared_terms_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "blank_urls",
+    [["http://doc05b.example.org/"],
+     # Written in the other order: evaluate reads pages in url order.
+     ["http://doc20b.example.org/", "http://doc05b.example.org/"]],
+)
+def test_evaluate_a_page_with_no_text_left_exits_1(pipeline, tmp_path, capsys,
+                                                   blank_urls):
+    """A labelled page whose text cleans to nothing, among good pages, stops
+    evaluate with one error line naming the first such page in url order,
+    and neither output is written."""
+    fx = pipeline["fx"]
+    pages = (fx / "webpages.jsonl").read_text()
+    labels = (fx / "labels.csv").read_text()
+    for url in blank_urls:
+        pages += json.dumps({"url": url, "text": "\U0001F489 \U0001F9A0"}) + "\n"
+        labels += url + ",1" * 7 + "\n"
+    (tmp_path / "webpages.jsonl").write_text(pages)
+    (tmp_path / "labels.csv").write_text(labels)
+    rc = main(["evaluate", "--model", f"{pipeline['out']}/model.json",
+               "--docs", f"{tmp_path}/webpages.jsonl",
+               "--labels", f"{tmp_path}/labels.csv",
+               "--out", f"{tmp_path}/evaluation.json",
+               "--distribution", f"{tmp_path}/label_distribution.csv",
+               "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: document http://doc05b.example.org/: no text left after cleaning\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "labels.csv", "webpages.jsonl"
+    ]
+
+
+@pytest.mark.parametrize(
     "argv, first, second",
     [
         (["evaluate", "--model", "{out}/model.json", "--docs", "{fx}/webpages.jsonl",

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import clean_text_oracle, dense_tfidf_oracle, make_random_token_docs
+from helpers import (
+    clean_text_oracle, dense_tfidf_oracle, make_random_token_docs, transform_oracle
+)
 from webcred.errors import DataError
 from webcred.eval import crossvalidate_criterion
 from webcred.stats import term_significance, term_significance_from_df
@@ -16,6 +18,7 @@ from webcred.textprep import (
     STOPWORDS,
     CsrMatrix,
     SparseVector,
+    TfIdfModel,
     build_vocabulary,
     clean_text,
     document_frequency,
@@ -25,6 +28,7 @@ from webcred.textprep import (
     to_dense,
     tokenize,
     transform,
+    transform_docs,
     transform_pages,
     vocabulary_from_df,
 )
@@ -317,7 +321,8 @@ class TestBatchFeaturizer:
         model = fit_tfidf(train, want)
         # Every page, trained on or held out, as the model sees it.
         assert_same_csr(
-            transform_pages(pages, model), to_csr([transform(d, model) for d in docs])
+            transform_pages(pages, model),
+            to_csr([transform_oracle(d, model) for d in docs]),
         )
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -362,3 +367,58 @@ class TestBatchFeaturizer:
         assert term_significance_from_df(
             document_frequency(low), 2, document_frequency(other), 3, terms
         ) == term_significance(low, other, terms)
+
+
+def renumbered(model: TfIdfModel, seed: int | None) -> TfIdfModel:
+    """``model`` as read back from a file whose vocab numbers its terms in a
+    random order (seed ``seed``), or in their own order for None."""
+    data = model.to_dict()
+    order = list(range(len(data["vocab"])))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    for row, index in zip(data["vocab"], order):
+        row["index"] = index
+    return TfIdfModel.from_dict(data)
+
+
+class TestOneFeaturizer:
+    """Every front end of the one TF-IDF row builder gives the per-page
+    oracle's vectors bit for bit: a fixed model's documents, one document,
+    and interned pages."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(docs=BATCH_DOCS, rows=st.lists(st.integers(0, 11), min_size=1),
+           min_df=st.sampled_from([1, 2]), counted=st.booleans(),
+           order=st.none() | st.integers(0, 2**32 - 1))
+    @example(docs=EDGE_DOCS, rows=[3, 4], min_df=2, counted=False, order=None)
+    @example(docs=EDGE_DOCS, rows=[3, 4, 3], min_df=1, counted=True, order=7)
+    def test_matches_the_per_page_oracle(self, docs, rows, min_df, counted, order):
+        train = [docs[r % len(docs)] for r in rows]
+        fitted = fit_tfidf(train, build_vocabulary(train, min_df=min_df))
+        model = renumbered(fitted, order)
+        inputs = [Counter(d) for d in docs] if counted else docs
+        want = [transform_oracle(d, model) for d in docs]
+        # A one-pass iterator: the documents are read one at a time.
+        assert_same_csr(transform_docs(iter(inputs), model), to_csr(want))
+        assert_same_csr(transform_pages(intern_pages(inputs), model), to_csr(want))
+        assert_same_csr(to_csr([transform(d, model) for d in inputs]), to_csr(want))
+
+    def test_renumbered_vocabulary_keeps_columns_sorted(self):
+        docs = [["dose", "flu", "shot", "flu"], ["shot", "mask"], ["virus"]]
+        model = fit_tfidf(docs, build_vocabulary(docs, min_df=1, stopwords=()))
+        data = model.to_dict()
+        # Reverse lexicographic: dose 4, flu 3, mask 2, shot 1, virus 0.
+        for row in data["vocab"]:
+            row["index"] = len(data["vocab"]) - 1 - row["index"]
+        reversed_model = TfIdfModel.from_dict(data)
+        got = transform_docs(docs, reversed_model)
+        assert got.indices.tolist() == [1, 3, 4, 1, 2, 0]
+        assert got.indptr.tolist() == [0, 3, 5, 6]
+        want = [transform_oracle(d, reversed_model) for d in docs]
+        assert_same_csr(got, to_csr(want))
+
+    def test_no_documents_give_no_rows(self):
+        docs = [["flu", "shot"]] * 2
+        model = fit_tfidf(docs, build_vocabulary(docs, min_df=1, stopwords=()))
+        got = transform_docs([], model)
+        assert (got.n_rows, got.dim, len(got.indices)) == (0, 2, 0)
