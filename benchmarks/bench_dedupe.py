@@ -10,14 +10,20 @@ Each corpus mixes distinct fixture-prose pages of 360-419 words with
 near-duplicate copies (a page minus its last four words), one copy per
 ~18 pages as in the ``score-corpus`` perfbench workload.  The scan is
 quadratic: on one core of a 2-core x86 machine under Python 3.11 and
-NumPy 2.4 it took 4.3 s at 550 documents and 590 s at 5,500, against
-0.13 s and 1.7 s for the join.  The join's tracemalloc peak, printed
-beside its time, was 5.8 MB and 54 MB, about 24 bytes per word.
+NumPy 2.4 it took 3.4 s at 550 documents and 390 s at 5,500, against
+0.048 s and 0.61 s for the join.  The join's tracemalloc peak, printed
+beside its time, was 5.8 MB and 54 MB, about 25 bytes per word.
 ``--sizes 550`` skips the long run.
+
+The fixture prose has under 200 distinct words.  ``--vocab N`` adds N
+more, ``tail0`` to ``tail{N-1}``, dealt round the distinct pages as one
+closing paragraph each (copies keep theirs), so that with N above 65,535
+the join ranks word ids of two uint16 digits.  At 550 documents,
+``--vocab 70000`` took 0.096 s and peaked at 14 MB.
 
 Usage:
     python3 benchmarks/bench_dedupe.py [--sizes 550,5500] [--jaccard T]
-                                       [--seed S]
+                                       [--seed S] [--vocab N]
 """
 
 from __future__ import annotations
@@ -46,14 +52,19 @@ def load_fixture_tools():
     return module
 
 
-def make_docs(n_docs: int, seed: int) -> list[ingest.WebDocument]:
+def make_docs(n_docs: int, seed: int, vocab: int = 0) -> list[ingest.WebDocument]:
     mf = load_fixture_tools()
     rng = mf.SplitMix64(seed)
     n_copies = n_docs * 30 // 550
+    n_pages = n_docs - n_copies
     docs = []
-    for i in range(n_docs - n_copies):
+    for i in range(n_pages):
         labels = mf.random_labels(rng, mf.draw_score(rng))
         text = mf.page_text(rng, labels, 360 + rng.randbelow(60))
+        # Page i's share of the long tail, one closing paragraph.
+        tail = [f"tail{t}" for t in range(i, vocab, n_pages)]
+        if tail:
+            text += "\n\n" + " ".join(tail)
         docs.append(ingest.WebDocument(url=f"http://page{i:05d}.example.org/", text=text))
     for j, src in enumerate(rng.sample_without_replacement(len(docs), n_copies)):
         text = " ".join(docs[src].text.split(" ")[:-4])
@@ -84,11 +95,13 @@ def main() -> int:
                         help="comma-separated corpus sizes")
     parser.add_argument("--jaccard", type=float, default=ingest.DEFAULT_JACCARD)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--vocab", type=int, default=0,
+                        help="distinct long-tail words spread over the pages")
     args = parser.parse_args()
 
     status = 0
     for n_docs in (int(s) for s in args.sizes.split(",")):
-        docs = make_docs(n_docs, args.seed)
+        docs = make_docs(n_docs, args.seed, args.vocab)
         calls = 0
         jaccard = ingest.jaccard
 
@@ -104,7 +117,8 @@ def main() -> int:
             ingest.jaccard = jaccard
         join_mb = peak_mb(ingest.dedupe_near_duplicates, docs, args.jaccard)
         t_scan, kept_scan = timed_urls(dedupe_oracle, docs, args.jaccard)
-        print(f"{n_docs} docs, jaccard >= {args.jaccard}: "
+        n_words = len({w for d in docs for w in d.text.lower().split()})
+        print(f"{n_docs} docs, {n_words} distinct words, jaccard >= {args.jaccard}: "
               f"{n_docs - len(kept_join)} duplicates")
         print(f"  pairwise scan  {t_scan:8.3f} s")
         print(f"  prefix join    {t_join:8.3f} s  {join_mb:6.1f} MB peak "

@@ -162,8 +162,10 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
     with ``user_id`` and ``is_retweet`` present, ``retweet_of`` given (not
     null) exactly when ``is_retweet`` is true, and a ``timestamp`` that
     ``_parse_timestamp`` accepts; the timestamp is checked, not kept.
-    Any other line is skipped and counted.  Raises CorruptInputError when
-    more than half of the non-blank lines are malformed.
+    Any other line is skipped and counted, as is one whose ``tweet_id``,
+    ``user_id`` or a URL holds a lone surrogate (see :func:`_is_unicode`).
+    Raises CorruptInputError when more than half of the non-blank lines
+    are malformed.
 
     Each URL is normalized on the way in, so it matches the keys of the
     scored documents; a URL repeated across tweets is normalized once, and
@@ -206,6 +208,11 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
                 normalized_urls = tuple([normalized[raw] for raw in urls])
             except (KeyError, TypeError):
                 normalized_urls = _normalize_new_urls(urls, normalized)
+            # A lone surrogate can only come from a JSON escape, so a line
+            # without a backslash needs no check.  A one-character test runs
+            # as a memchr, several times cheaper than a test for "\u".
+            if "\\" in line and not all(map(_is_unicode, (tweet_id, user_id, *urls))):
+                raise DataError("tweet record is not valid Unicode")
         except (DataError, KeyError, TypeError, ValueError, RecursionError):
             skipped += 1
             continue
@@ -231,6 +238,16 @@ def _normalize_new_urls(urls: list, normalized: dict[str, str]) -> tuple[str, ..
     return tuple([normalized[raw] for raw in urls])
 
 
+def _is_unicode(value: str) -> bool:
+    """Whether ``value`` encodes as UTF-8: it holds no lone surrogate, as a
+    JSON ``\\ud800`` escape decodes to, which no output file can hold."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _parse_timestamp(value: str) -> datetime:
     # Python 3.10's fromisoformat rejects a trailing "Z".
     if not isinstance(value, str):
@@ -250,7 +267,8 @@ def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
 
     ``word_count`` and ``language`` are always recomputed from the text
     (``language`` when first read).
-    A malformed line, or a URL that normalizes to the URL of an earlier
+    A malformed line, a ``url`` that holds a lone surrogate (see
+    :func:`_is_unicode`), or a URL that normalizes to the URL of an earlier
     line, raises DataError naming the stream (its ``name``, as for an open
     file) and the line number.
     """
@@ -273,6 +291,9 @@ def load_webpages(stream: Iterable[str] | TextIO) -> Iterator[WebDocument]:
                 raise DataError(f"{source}:{lineno}: missing key {key!r}")
             if not isinstance(obj[key], str):
                 raise DataError(f"{source}:{lineno}: {key!r} is not a string")
+        # A lone surrogate can only come from a JSON escape.
+        if "\\" in line and not _is_unicode(obj["url"]):
+            raise DataError(f"{source}:{lineno}: 'url' is not valid Unicode")
         try:
             url = normalize_url(obj["url"])
         except DataError as exc:
@@ -318,26 +339,35 @@ def _shingles(text: str, size: int = SHINGLE_SIZE) -> frozenset[tuple[str, ...]]
 
 
 class _WordIds(dict):
-    """Word -> int id, the next unused id for each new word."""
+    """Word -> int id, the next unused id from 1 for each new word."""
 
     def __missing__(self, word: str) -> int:
-        self[word] = value = len(self)
+        self[word] = value = len(self) + 1
         return value
 
 
-# The id of the words that pad a short text's one shingle; no word gets it.
-_PAD = -1
+# The id of the words that pad a short text's one shingle; no word gets it,
+# and it sorts before every word's id.
+_PAD = 0
+
+# A word id is ranked as base-2**16 digits, high digit first: numpy's
+# lexsort radix-sorts 16-bit keys, where it timsorts wider ones.
+_DIGIT_BITS = 16
 
 
 def _shingle_id_sets(texts: Iterable[str]) -> list[np.ndarray]:
     """Each text's :func:`_shingles` as a sorted integer array of shingle ids.
 
     Two shingles of any of the texts get the same id exactly when they are
-    the same word tuple.  Words get int32 ids, the texts' ids go into one
+    the same word tuple.  Words get ids from 1, the texts' ids go into one
     array, a text of 1 to ``SHINGLE_SIZE - 1`` words padded with ``_PAD``,
     and one ``lexsort`` ranks every ``SHINGLE_SIZE``-id window of it; a
-    window's id is its rank among the distinct windows.  Windows that
-    cross two texts get ids too, which no text reads.
+    window's id is its rank among the distinct windows.  Each word id is
+    split into as many uint16 digits as the largest id needs (one below
+    2**16 distinct words, else two, high digit first), so the sort keys
+    are the window's ``SHINGLE_SIZE`` x digits columns and the order is
+    that of the whole ids.  Windows that cross two texts get ids too,
+    which no text reads.
     """
     ids = _WordIds()
     chunks: list[np.ndarray] = []
@@ -355,11 +385,17 @@ def _shingle_id_sets(texts: Iterable[str]) -> list[np.ndarray]:
     if at == 0:
         return [np.empty(0, np.int32) for _ in bounds]
     # Each temporary is dropped once used, which keeps a call's peak near
-    # 25 bytes per word: the word ids, the sort order and the int32 ranks.
+    # 20 bytes per word below 2**16 distinct words, most of it the intp
+    # sort order.
     flat = np.concatenate(chunks)
     del chunks
+    # The low digit is the id cast down to its low 16 bits.
+    digits = [flat.astype(np.uint16)]
+    if len(ids) >= 2**_DIGIT_BITS:
+        digits.insert(0, (flat >> _DIGIT_BITS).astype(np.uint16))
+    del flat
     n_windows = at - SHINGLE_SIZE + 1
-    columns = [flat[i : i + n_windows] for i in range(SHINGLE_SIZE)]
+    columns = [digit[i : i + n_windows] for i in range(SHINGLE_SIZE) for digit in digits]
     order = np.lexsort(columns[::-1])
     # starts[k]: the k-th window in sorted order differs from the one before.
     starts = np.zeros(n_windows, bool)
@@ -367,7 +403,7 @@ def _shingle_id_sets(texts: Iterable[str]) -> list[np.ndarray]:
     for column in columns:
         ranked = column[order]
         starts[1:] |= ranked[1:] != ranked[:-1]
-    del columns, flat, ranked
+    del columns, digits, ranked
     ranks = np.cumsum(starts, dtype=np.int32 if n_windows < 2**31 else np.int64)
     del starts
     shingle_ids = np.empty_like(ranks)

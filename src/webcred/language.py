@@ -7,6 +7,8 @@ bundled snippets in :mod:`webcred._langdata`; a document is scored by
 cosine similarity against every profile and assigned the best match
 (Cavnar and Trenkle, 1994).
 
+The text is normalised to its lowercased letter runs joined by single
+spaces, with one space at each end, so every non-letter run is one gap.
 Trigrams are counted as integers: the normalised text is read as UTF-32
 code points, and each trigram's three 21-bit code points are packed into
 one int64 key.  A document's keys are looked up in the sorted union of
@@ -28,7 +30,7 @@ from ._langdata import PROFILE_TEXTS
 
 MIN_TEXT_CHARS = 20
 
-_NON_LETTER = re.compile(r"[^a-zà-öø-ÿœßñçа-яά-ώ]+")
+LETTER_RUNS = re.compile(r"[a-zà-öø-ÿœßñçа-яά-ώ]+")
 
 # Every code point is below 2**21, so three fit in an int64 key.
 _CODE_BITS = 21
@@ -37,9 +39,10 @@ _CODE_BITS = 21
 def _trigram_counts(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct packed trigram keys of lowercased text with
     non-letters as gaps, and the count of each."""
-    # Each run of non-letters becomes one space, so no trigram is all
+    # The letter runs joined by single spaces and padded with one at each
+    # end: each run of non-letters becomes one space, so no trigram is all
     # whitespace.
-    normalized = " " + _NON_LETTER.sub(" ", text.lower()).strip() + " "
+    normalized = " " + " ".join(LETTER_RUNS.findall(text.lower())) + " "
     codes = np.frombuffer(normalized.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
     keys = (codes[:-2] << 2 * _CODE_BITS) | (codes[1:-1] << _CODE_BITS) | codes[2:]
     return np.unique(keys, return_counts=True)

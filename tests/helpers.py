@@ -5,9 +5,10 @@ is used to check: the dense TF-IDF oracle works on plain lists, and the
 marker corpus is built with the stdlib random module.  The clean-text,
 dedupe and split oracles are the straightforward loops the library
 replaced with faster equivalents; the dedupe oracle shares only the
-library's shingle and Jaccard helpers, and the language oracle only the
-bundled profile texts.  The SVM objective oracles are the per-row primal
-loop and the documented-scale duality gap that the library replaced with
+library's shingle and Jaccard helpers, the shingle-id oracle is the int32
+ranking that the uint16-digit one replaced, and the language oracle shares
+only the bundled profile texts.  The SVM objective oracles are the per-row
+primal loop and the documented-scale duality gap that the library replaced with
 one kernel-scale objective function, and the SVM solver oracle is the
 dual coordinate descent loop without shrinking, and the shrinking loop
 that gathered and scattered through int32 columns.  The tree oracle is the
@@ -33,7 +34,7 @@ import numpy as np
 
 from webcred._langdata import PROFILE_TEXTS
 from webcred.errors import CorruptInputError, DataError
-from webcred.ingest import WebDocument, _shingles, jaccard, normalize_url
+from webcred.ingest import SHINGLE_SIZE, WebDocument, _shingles, jaccard, normalize_url
 from webcred.forest import ForestModel, Tree, gini_impurity
 from webcred.rng import SplitMix64, stream_seed
 from webcred.svm import SvmModel
@@ -196,6 +197,66 @@ def dedupe_oracle(docs, jaccard_threshold):
             kept.append(doc)
             kept_shingles.append(sh)
     return sorted(kept, key=lambda d: d.url)
+
+
+class _WordIds(dict):
+    """Word -> int id, the next unused id for each new word."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = value = len(self)
+        return value
+
+
+# The id of the words that pad a short text's one shingle; no word gets it.
+_PAD = -1
+
+
+def shingle_id_sets_oracle(texts: Iterable[str]) -> list[np.ndarray]:
+    """The int32 ranking that ``ingest._shingle_id_sets`` replaced with one
+    on uint16 digits, kept verbatim as the reference: words get int32 ids
+    from 0, a short text is padded with -1, and one ``np.lexsort`` of the
+    five int32 id columns ranks the windows.  The ids are array-equal."""
+    ids = _WordIds()
+    chunks: list[np.ndarray] = []
+    bounds: list[tuple[int, int]] = []
+    at = 0
+    for text in texts:
+        words = text.lower().split()
+        chunk = np.fromiter(map(ids.__getitem__, words), np.int32, len(words))
+        if 0 < len(words) < SHINGLE_SIZE:
+            pad = np.full(SHINGLE_SIZE - len(words), _PAD, np.int32)
+            chunk = np.concatenate([chunk, pad])
+        chunks.append(chunk)
+        bounds.append((at, at + max(len(chunk) - SHINGLE_SIZE + 1, 0)))
+        at += len(chunk)
+    if at == 0:
+        return [np.empty(0, np.int32) for _ in bounds]
+    # Each temporary is dropped once used, which keeps a call's peak near
+    # 25 bytes per word: the word ids, the sort order and the int32 ranks.
+    flat = np.concatenate(chunks)
+    del chunks
+    n_windows = at - SHINGLE_SIZE + 1
+    columns = [flat[i : i + n_windows] for i in range(SHINGLE_SIZE)]
+    order = np.lexsort(columns[::-1])
+    # starts[k]: the k-th window in sorted order differs from the one before.
+    starts = np.zeros(n_windows, bool)
+    starts[0] = True
+    for column in columns:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    del columns, flat, ranked
+    ranks = np.cumsum(starts, dtype=np.int32 if n_windows < 2**31 else np.int64)
+    del starts
+    shingle_ids = np.empty_like(ranks)
+    shingle_ids[order] = ranks
+    del order, ranks
+    sets = []
+    for lo, hi in bounds:
+        row = np.sort(shingle_ids[lo:hi])
+        distinct = np.ones(len(row), bool)
+        distinct[1:] = row[1:] != row[:-1]
+        sets.append(row[distinct])
+    return sets
 
 
 def node_best_split_oracle(X, rows, feats, y):

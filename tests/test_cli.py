@@ -713,6 +713,49 @@ def test_tweet_with_a_timestamp_out_of_range_in_utc_is_skipped(
     assert report["tweets_skipped"] == 2  # the "{not json" line and t99
 
 
+def test_webpage_url_with_a_lone_surrogate_exits_1(pipeline, tmp_path, capsys):
+    # The JSON escape decodes to a str that no UTF-8 output can hold; the
+    # page passes every filter, so its url would reach scores.csv.
+    lines = (pipeline["fx"] / "webpages.jsonl").read_text().splitlines()
+    bad = json.dumps({"url": "http://a.org/x\ud800y", "text": CARRIER + " " + CARRIER})
+    assert "\\ud800" in bad
+    docs = tmp_path / "webpages.jsonl"
+    docs.write_text("\n".join(lines[:3] + [bad] + lines[3:]) + "\n")
+    rc = main(["score", "--model", f"{pipeline['out']}/model.json",
+               "--docs", str(docs), "--min-words", "50",
+               "--out", f"{tmp_path}/scores.csv", "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(
+        capsys.readouterr().err, f"{docs}:4: 'url' is not valid Unicode"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["webpages.jsonl"]
+
+
+@pytest.mark.parametrize("field", ["tweet_id", "user_id", "urls"])
+def test_tweet_with_a_lone_surrogate_is_skipped(pipeline, tmp_path, field):
+    fx, out = pipeline["fx"], pipeline["out"]
+    # A new user sharing five scored links, so the graph would keep it.
+    bad = json.loads(TWEET_LINES[0]) | {
+        "tweet_id": "t99", "user_id": "u99", "urls": [doc_url(i) for i in range(5)]
+    }
+    bad[field] = [doc_url(0), "http://a.org/\ud800"] if field == "urls" else "u\ud800"
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("\n".join(TWEET_LINES + [json.dumps(bad)]) + "\n")
+    argv = ["--tweets", str(tweets), "--scores", f"{out}/scores.csv",
+            "--manifest", f"{tmp_path}/m.json"]
+    assert main(["graph", "--followers", f"{fx}/followers.csv", "--min-links", "1",
+                 "--graphml", f"{tmp_path}/net.graphml",
+                 "--dot", f"{tmp_path}/net.dot"] + argv) == 0
+    for name in ("net.graphml", "net.dot"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+    assert main(["ingest", "--webpages", f"{fx}/webpages.jsonl",
+                 "--tweets", str(tweets), "--min-words", "50",
+                 "--report", f"{tmp_path}/filter_report.json",
+                 "--manifest", f"{tmp_path}/m.json"]) == 0
+    report = json.loads((tmp_path / "filter_report.json").read_text())
+    assert report["tweets_skipped"] == 2  # the "{not json" line and t99
+
+
 def test_score_writes_utf8_under_an_ascii_locale(pipeline, tmp_path):
     """Outputs are UTF-8 whatever the locale's preferred encoding."""
     fx, out = pipeline["fx"], pipeline["out"]

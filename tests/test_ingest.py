@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dedupe_oracle, parse_tweets_oracle
+from helpers import dedupe_oracle, parse_tweets_oracle, shingle_id_sets_oracle
 from webcred import ingest
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import (
@@ -584,8 +584,12 @@ def texts_with_repeats(draw):
 
 def assert_ids_match_shingles(texts):
     """Each text's shingle ids are a sorted set of as many ids as its
-    shingles, and every pair has the same jaccard either way."""
+    shingles, array-equal to the int32 ranking's, and every pair has the
+    same jaccard either way."""
     id_sets = ingest._shingle_id_sets(texts)
+    for ids, expected in zip(id_sets, shingle_id_sets_oracle(texts), strict=True):
+        assert ids.dtype == expected.dtype
+        assert np.array_equal(ids, expected)
     reference = [ingest._shingles(text) for text in texts]
     assert [len(ids) for ids in id_sets] == [len(sh) for sh in reference]
     for ids in id_sets:
@@ -610,6 +614,20 @@ class TestShingleIds:
     def test_short_and_empty_texts(self, n_words):
         words = ["a", "b", "c", "d", "e", "f"][:n_words]
         texts = [" ".join(words), " ".join(words + ["a"]), "a b c d e", "", "a"]
+        assert_ids_match_shingles(texts)
+
+    @pytest.mark.parametrize("n_distinct", [2**16 - 1, 2**16])
+    def test_one_and_two_digit_word_ids(self, n_distinct):
+        # 65,535 distinct words are ids 1..65535, one uint16 digit each;
+        # one more word needs a second digit.
+        rng = random.Random(n_distinct)
+        vocab = [f"v{i}" for i in range(n_distinct)]
+        texts = [
+            " ".join(vocab),
+            " ".join(rng.choice(vocab) for _ in range(3_000)),
+            " ".join(vocab[-2:]),
+            " ".join(vocab[2**8 : 2**8 + 5]),
+        ]
         assert_ids_match_shingles(texts)
 
     def test_more_than_two_to_the_sixteen_distinct_words(self):
