@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError, json_number, read_csv, write_csv
 from .eval import CvReport
 from .forest import ForestModel
-from .ingest import WebDocument
+from .ingest import WebDocument, normalize_url
 from .models import FAMILIES, model_from_dict, pick_best
 from .svm import SvmModel
 # transform is unused here but stays bound: perfbench's tracer self-test
@@ -283,16 +283,22 @@ def write_scores_csv(
 
 
 def read_scores_csv(path: str | Path) -> dict[str, CredibilityResult]:
-    """scores.csv as write_scores_csv writes it, each row self-consistent."""
+    """scores.csv as write_scores_csv writes it, each row self-consistent.
+
+    The results are keyed by normalized URL, as the tweets' URLs and the
+    webpages are, so a file that spells a URL another way still joins; two
+    rows whose URLs normalize alike are an error.
+    """
     results: dict[str, CredibilityResult] = {}
 
     def parse(row: list[str]) -> None:
-        if row[0] in results:
-            raise DataError(f"duplicate url {row[0]}")
+        url = normalize_url(row[0])
+        if url in results:
+            raise DataError(f"duplicate url {url}")
         result = score_from_labels([int(v) for v in row[1:8]])
         if result.score != int(row[8]) or result.bucket != row[9]:
             raise DataError(f"inconsistent row for {row[0]}")
-        results[row[0]] = result
+        results[url] = result
 
     read_csv(path, SCORES_HEADER, parse)
     return results

@@ -31,6 +31,20 @@ MIN_BLOCK_TOKENS = 20
 
 _PARAGRAPH_SPLIT = re.compile(r"\n[ \t]*\n+")
 
+# A plain ASCII URL, scheme://netloc[path][?query][#fragment], with no
+# control character, space or DEL and no bracket in the netloc: the inputs
+# on which urlsplit's answer can be read off the text (see
+# normalize_url_checked).  Match only strings that pass str.isascii().
+_PLAIN_URL = re.compile(
+    r"([A-Za-z][A-Za-z0-9+.\-]*)://([^/?#\[\]\x00-\x20\x7f]+)"
+    r"(/[^?#\x00-\x20\x7f]*)?(?:\?([^#\x00-\x20\x7f]*))?(?:#[^\x00-\x20\x7f]*)?"
+)
+
+# parse_tweets decodes the lines of a chunk this long in one json.loads
+# call; a piece of BULK_MIN_LINES lines or fewer is decoded line by line.
+BULK_LINES = 1024
+BULK_MIN_LINES = 8
+
 
 @dataclass(frozen=True)
 class TweetTable:
@@ -121,12 +135,36 @@ def normalize_url(raw: str) -> str:
     ``?utm_source=x``), raises DataError, and one urlsplit cannot parse is
     returned unchanged (see :func:`normalize_url_checked` when the caller
     needs to know).
+
+    A plain ASCII ``scheme://netloc[path][?query][#fragment]`` URL is
+    normalized straight from its parts; any other string goes through
+    ``urlsplit``/``urlunsplit`` (:func:`_normalize_url_split`), which gives
+    the same result on plain URLs too.
     """
     return normalize_url_checked(raw)[0]
 
 
 def normalize_url_checked(raw: str) -> tuple[str, bool]:
     """Like :func:`normalize_url` but flags unparseable input as False."""
+    # On a plain URL urlsplit finds the scheme before the first ":", the
+    # netloc up to the first "/", "?" or "#", the fragment after the first
+    # "#" and the query after the first "?" before it.  It strips and
+    # removes nothing (there is no whitespace or control character), and
+    # checks no netloc that is ASCII and has no bracket.
+    match = _PLAIN_URL.fullmatch(raw) if raw.isascii() else None
+    if match is None:
+        return _normalize_url_split(raw)
+    scheme, netloc, path, query = match.groups()
+    url = scheme.lower() + "://" + netloc.lower() + (path or "/")
+    if query:
+        query = _without_utm(query)
+        if query:
+            url += "?" + query
+    return url, True
+
+
+def _normalize_url_split(raw: str) -> tuple[str, bool]:
+    """:func:`normalize_url_checked` on any string, through urlsplit."""
     stripped = raw.strip()
     if not stripped:
         raise DataError("empty URL")
@@ -139,18 +177,23 @@ def normalize_url_checked(raw: str) -> tuple[str, bool]:
     path = parts.path
     if netloc and not path:
         path = "/"
-    # Filter query parameters textually (no decode/re-encode round trip,
-    # which keeps normalization idempotent on oddly-escaped URLs).
-    kept = [
-        piece
-        for piece in parts.query.split("&")
-        if piece and not piece.split("=", 1)[0].lower().startswith("utm_")
-    ]
-    query = "&".join(kept)
-    url = urlunsplit((scheme, netloc, path, query, ""))
+    url = urlunsplit((scheme, netloc, path, _without_utm(parts.query), ""))
     if not url:
         raise DataError("empty URL")
     return url, True
+
+
+def _without_utm(query: str) -> str:
+    """``query`` without its empty and ``utm_*`` parameters.
+
+    The parameters are filtered textually (no decode/re-encode round trip,
+    which keeps normalization idempotent on oddly-escaped URLs).
+    """
+    return "&".join([
+        piece
+        for piece in query.split("&")
+        if piece and not piece.split("=", 1)[0].lower().startswith("utm_")
+    ])
 
 
 def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
@@ -170,6 +213,12 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
     Each URL is normalized on the way in, so it matches the keys of the
     scored documents; a URL repeated across tweets is normalized once, and
     its tweets share the one normalized string.
+
+    The stripped lines are read ``BULK_LINES`` at a time and decoded with
+    one ``json.loads`` call per chunk where that call is certain to give
+    each line's own object (see :func:`_bulk_decode`).  A line it cannot
+    vouch for is decoded alone, so every line gets the object, or the
+    error, that ``json.loads(line)`` gives.
     """
     tweet_ids: list[str] = []
     user_ids: list[str] = []
@@ -181,13 +230,13 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
     # Raw URL -> normalized form; only non-blank strings get in, so a hit
     # for every URL of a line means that they all pass.
     normalized: dict[str, str] = {}
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
+    for line, obj in _decoded_lines(stream):
         total += 1
         try:
-            obj = json.loads(line)
+            # Decoded here, not in a helper, so that a line nested close to
+            # the recursion limit decodes at the depth it always did.
+            if obj is _UNDECODED:
+                obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise DataError("tweet record is not an object")
             tweet_id = str(obj["tweet_id"])
@@ -224,6 +273,63 @@ def parse_tweets(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
     if total and skipped * 2 > total:
         raise CorruptInputError(f"{skipped}/{total} tweet lines malformed")
     return TweetTable(tweet_ids, user_ids, follower_counts, url_tuples), skipped
+
+
+# The stand-in for the object of a line that _bulk_decode leaves for
+# json.loads on the line alone.
+_UNDECODED = object()
+
+
+def _decoded_lines(stream: Iterable[str] | TextIO) -> Iterator[tuple[str, object]]:
+    """(line, object) for each stripped non-blank line of ``stream``, in
+    order, its object decoded in bulk or ``_UNDECODED``."""
+    chunk: list[str] = []
+    for line in stream:
+        line = line.strip()
+        if line:
+            chunk.append(line)
+            if len(chunk) == BULK_LINES:
+                yield from zip(chunk, _bulk_decode(chunk))
+                chunk = []
+    yield from zip(chunk, _bulk_decode(chunk))
+
+
+def _bulk_decode(lines: list[str]) -> list:
+    """Each line's JSON object, or ``_UNDECODED`` for the lines to decode
+    one by one, with one ``json.loads`` call where the lines allow it.
+
+    The lines, joined by ``",\\n"`` and bracketed, are decoded as one array
+    when the joined text holds only the separators' newlines, one ``{`` and
+    one ``}`` per line, and each line starts with its ``{`` and ends with
+    its ``}``.  Strict JSON has no raw newline inside a string, so no
+    string crosses a separator; each line's one ``}`` is then structural
+    and can only close the object that its ``{`` opened, so element i is
+    decoded from exactly line i's text, as ``json.loads(line)`` decodes it.
+    When the lines fail that test, or the array does not decode (a bad
+    line, or nesting too deep once inside the array), each half is tried
+    the same way, down to ``BULK_MIN_LINES`` lines.
+    """
+    n = len(lines)
+    if n <= BULK_MIN_LINES:
+        return [_UNDECODED] * n
+    try:
+        joined = ",\n".join(lines)
+    except TypeError:  # not str lines: bytes decode one by one
+        return [_UNDECODED] * n
+    if (
+        joined[0] == "{"
+        and joined[-1] == "}"
+        and joined.count("\n") == n - 1
+        and joined.count("{") == n
+        and joined.count("}") == n
+        and joined.count("},\n{") == n - 1
+    ):
+        try:
+            return json.loads("[" + joined + "]")
+        except (ValueError, RecursionError):
+            pass
+    half = n // 2
+    return _bulk_decode(lines[:half]) + _bulk_decode(lines[half:])
 
 
 def _normalize_new_urls(urls: list, normalized: dict[str, str]) -> tuple[str, ...]:

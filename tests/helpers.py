@@ -12,9 +12,10 @@ primal loop and the documented-scale duality gap that the library replaced with
 one kernel-scale objective function, and the SVM solver oracle is the
 dual coordinate descent loop without shrinking, and the shrinking loop
 that gathered and scattered through int32 columns.  The tree oracle is the
-one-tree-at-a-time loop that the lockstep forest replaced.  The tweet oracle is the
-record parser that the columnar one replaced; it shares only
-``normalize_url``.  The TF-IDF and predict oracles are the per-page
+one-tree-at-a-time loop that the lockstep forest replaced.  The tweet oracles are the
+record parser that the columnar one replaced, which shares only
+``normalize_url``, and the columnar parser as it was before it decoded
+lines in bulk, which normalizes URLs only through the urlsplit path.  The TF-IDF and predict oracles are the per-page
 featurizer and the per-row model walks that the CSR batch path replaced.
 """
 
@@ -34,7 +35,17 @@ import numpy as np
 
 from webcred._langdata import PROFILE_TEXTS
 from webcred.errors import CorruptInputError, DataError
-from webcred.ingest import SHINGLE_SIZE, WebDocument, _shingles, jaccard, normalize_url
+from webcred.ingest import (
+    SHINGLE_SIZE,
+    TweetTable,
+    WebDocument,
+    _is_unicode,
+    _normalize_url_split,
+    _parse_timestamp as _checked_timestamp,
+    _shingles,
+    jaccard,
+    normalize_url,
+)
 from webcred.forest import ForestModel, Tree, gini_impurity
 from webcred.rng import SplitMix64, stream_seed
 from webcred.svm import SvmModel
@@ -680,3 +691,72 @@ def _parse_timestamp(value: str) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def parse_tweets_per_line_oracle(stream: Iterable[str] | TextIO) -> tuple[TweetTable, int]:
+    """The loop of ``ingest.parse_tweets`` before it decoded a chunk of
+    lines per ``json.loads`` call, kept verbatim as the reference, except
+    that each URL is normalized by ``ingest._normalize_url_split``, the
+    urlsplit path that ``normalize_url`` had before its plain-URL fast path."""
+    tweet_ids: list[str] = []
+    user_ids: list[str] = []
+    follower_counts: list[int] = []
+    url_tuples: list[tuple[str, ...]] = []
+    skipped = 0
+    total = 0
+    seen_ids: set[str] = set()
+    # Raw URL -> normalized form; only non-blank strings get in, so a hit
+    # for every URL of a line means that they all pass.
+    normalized: dict[str, str] = {}
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        total += 1
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise DataError("tweet record is not an object")
+            tweet_id = str(obj["tweet_id"])
+            follower_count = obj["follower_count"]
+            urls = obj["urls"]
+            if (
+                tweet_id in seen_ids
+                or not isinstance(follower_count, int)
+                or isinstance(follower_count, bool)
+                or follower_count < 0
+                or not isinstance(urls, list)
+                or bool(obj["is_retweet"]) != (obj.get("retweet_of") is not None)
+            ):
+                raise DataError("invalid tweet record")
+            user_id = str(obj["user_id"])
+            _checked_timestamp(obj["timestamp"])
+            try:
+                normalized_urls = tuple([normalized[raw] for raw in urls])
+            except (KeyError, TypeError):
+                normalized_urls = _split_new_urls(urls, normalized)
+            # A lone surrogate can only come from a JSON escape, so a line
+            # without a backslash needs no check.  A one-character test runs
+            # as a memchr, several times cheaper than a test for "\u".
+            if "\\" in line and not all(map(_is_unicode, (tweet_id, user_id, *urls))):
+                raise DataError("tweet record is not valid Unicode")
+        except (DataError, KeyError, TypeError, ValueError, RecursionError):
+            skipped += 1
+            continue
+        seen_ids.add(tweet_id)
+        tweet_ids.append(tweet_id)
+        user_ids.append(user_id)
+        follower_counts.append(follower_count)
+        url_tuples.append(normalized_urls)
+    if total and skipped * 2 > total:
+        raise CorruptInputError(f"{skipped}/{total} tweet lines malformed")
+    return TweetTable(tweet_ids, user_ids, follower_counts, url_tuples), skipped
+
+
+def _split_new_urls(urls: list, normalized: dict[str, str]) -> tuple[str, ...]:
+    if not all(isinstance(raw, str) for raw in urls):
+        raise DataError("urls must be a list of strings")
+    for raw in urls:
+        if raw not in normalized:
+            normalized[raw] = _normalize_url_split(raw)[0]
+    return tuple([normalized[raw] for raw in urls])

@@ -685,6 +685,31 @@ def test_reference_url_that_normalizes_to_nothing_names_its_line(
     assert_one_error_line(capsys.readouterr().err, f"{reference}:3: empty URL")
 
 
+def test_scores_that_spell_urls_another_way_join_the_same_tweets(pipeline, tmp_path):
+    # Tweet URLs are normalized on the way in, so the scores' URLs must be
+    # too: upper-case scheme and host and a fragment once matched nothing.
+    fx, out = pipeline["fx"], pipeline["out"]
+    header, *rows = (out / "scores.csv").read_text().splitlines()
+    respelled = [header]
+    for row in rows:
+        url, rest = row.split(",", 1)
+        scheme, after = url.split("://", 1)
+        host, path = after.split("/", 1)
+        respelled.append(f"{scheme.upper()}://{host.upper()}/{path}#top,{rest}")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(respelled) + "\n")
+    argv = ["--tweets", f"{fx}/tweets.jsonl", "--scores", str(scores),
+            "--manifest", f"{tmp_path}/m.json"]
+    assert main(["exposure", "--out", f"{tmp_path}/exposure.csv",
+                 "--report", f"{tmp_path}/bucket_report.json", "--top", "5"] + argv) == 0
+    for name in ("exposure.csv", "bucket_report.json"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+    assert json.loads((tmp_path / "bucket_report.json").read_text())["total_tweets"] > 0
+    assert main(["graph", "--followers", f"{fx}/followers.csv", "--min-links", "1",
+                 "--dot", f"{tmp_path}/net.dot"] + argv) == 0
+    assert (tmp_path / "net.dot").read_bytes() == (out / "net.dot").read_bytes()
+
+
 @pytest.mark.parametrize(
     "timestamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
 )

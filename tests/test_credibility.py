@@ -259,6 +259,24 @@ class TestCsvFormats:
             assert restored[url].score == want.score
             assert restored[url].bucket == want.bucket
 
+    def test_scores_are_keyed_by_normalized_url(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "url,c1,c2,c3,c4,c5,c6,c7,score,bucket\n"
+            "HTTP://A.org?utm_source=x#top,1,1,1,0,0,0,0,3,medium\n"
+        )
+        assert list(read_scores_csv(path)) == ["http://a.org/"]
+
+    def test_scores_reject_urls_that_normalize_alike(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "url,c1,c2,c3,c4,c5,c6,c7,score,bucket\n"
+            "http://a.org/,1,1,1,0,0,0,0,3,medium\n"
+            "HTTP://A.org#top,1,1,1,0,0,0,0,3,medium\n"
+        )
+        with pytest.raises(DataError, match=r"scores\.csv:3: duplicate url http://a\.org/"):
+            read_scores_csv(path)
+
     def test_scores_reject_inconsistent_bucket(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text(

@@ -1,14 +1,23 @@
+import importlib.util
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import dedupe_oracle, parse_tweets_oracle, shingle_id_sets_oracle
+from helpers import (
+    dedupe_oracle,
+    parse_tweets_oracle,
+    parse_tweets_per_line_oracle,
+    shingle_id_sets_oracle,
+)
+from test_contract import TEXT_MUTATIONS, mutated
 from webcred import ingest
 from webcred.errors import CorruptInputError, DataError
 from webcred.ingest import (
+    BULK_MIN_LINES,
     TweetTable,
     WebDocument,
     contiguous_word_count,
@@ -101,6 +110,113 @@ class TestNormalizeUrl:
         normalized, ok = normalize_url_checked(bad)
         assert not ok
         assert normalized == bad
+
+
+def assert_normalizes_like_urlsplit(raw: str) -> None:
+    """normalize_url_checked and the urlsplit path agree on ``raw``: the
+    same (url, ok), or the same DataError."""
+    try:
+        want = ingest._normalize_url_split(raw)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            normalize_url_checked(raw)
+        assert str(got.value) == str(exc)
+        return
+    assert normalize_url_checked(raw) == want
+
+
+# Inputs at and past the edges of the plain-URL form.  Outside it urlsplit
+# differs between Python releases (whether "1http" is a scheme, whether
+# leading control characters are stripped), so each case is compared with
+# the running interpreter's urlsplit.
+URL_EDGE_CASES = [
+    "http:///x", "HTTP://A.B", "http://user:pw@host:8080",
+    "HTTP://User:PW@Host:8080/P?Q=1", "http://a.org/p#frag?x=1",
+    "http://a.org/p?x=1#frag?y#z", "http://a.org?x#y", "#top", "?utm_source=x",
+    "http://a.org?", "http://a.org/?&&", "http://a.org/?utm_source=x&UTM_x",
+    "http://a.org/?=1&utm_&a=b=c", "http://a.org#", "a+b.c-d://H/p", "http:/a.org",
+    "http:a.org", "//a.org/p", "http://", "http://?x", "http://#x", "http://a.org//b",
+    "http://[::1]/p", "http://[bad", "http://a]b/", "http://a[b/", "http://a.org/[x]",
+    "http://a.org/p\tq", "http://a.org/\r", "http://a\n.org/", " http://a.org/ ",
+    "http://a.org/p q", "http://a.org/\x01", "http://a.org/\x7f", "\x00http://a.org",
+    "http://bücher.example/", "http://a.org/ü", "http://a.org/?q=ü", "http://ａ.org/",
+    "mailto:x", "1http://x", "+http://x", "ht_tp://x", "http:://x", "not a url at all",
+    "http://a.org/%41?%75tm_source=x", "HTTP://a.org:80", "http://a.org\\b/c",
+]
+
+
+@st.composite
+def ascii_urls(draw):
+    """ASCII strings shaped like URLs, from parts that hold every character
+    the plain-URL form treats specially."""
+    special = list("/?#[]@:;%&=+.-_~\\") + [" ", "\t", "\r", "\n", "\x00", "\x1f", "\x7f"]
+    text = st.text(alphabet=st.sampled_from(list("aZ09") + special), max_size=12)
+    scheme = draw(st.sampled_from(["http", "HTTPS", "a+b.c-d", "1http", "", "h t", "h_t"]))
+    sep = draw(st.sampled_from(["://"] * 4 + [":/", ":", "//", ":///"]))
+    query = draw(st.lists(st.sampled_from(["utm_source=x", "UTM_a", "id=3", "", "a=b=c", "=1"]),
+                          max_size=3))
+    url = scheme + sep + draw(text)
+    if query or draw(st.booleans()):
+        url += "?" + "&".join(query)
+    if draw(st.booleans()):
+        url += "#" + draw(text)
+    return url
+
+
+def load_workloads(repo_root):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", repo_root / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPlainUrlFastPath:
+    @pytest.mark.parametrize("raw", URL_EDGE_CASES)
+    def test_edge_cases_match_urlsplit(self, raw):
+        assert_normalizes_like_urlsplit(raw)
+
+    @pytest.mark.parametrize("raw", ["HTTP://A.B", "http://user:pw@host:8080",
+                                     "http://a.org/p?x=1#frag?y#z", "a+b.c-d://H/p"])
+    def test_plain_urls_take_the_fast_path(self, raw, monkeypatch):
+        def fail(raw):
+            raise AssertionError(f"{raw!r} went through urlsplit")
+
+        monkeypatch.setattr(ingest, "_normalize_url_split", fail)
+        normalize_url_checked(raw)
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(ascii_urls(), st.text(st.characters(max_codepoint=127), max_size=30)))
+    def test_ascii_strings_match_urlsplit(self, raw):
+        assert_normalizes_like_urlsplit(raw)
+
+    def test_every_fixture_and_benchmark_url_matches_urlsplit(self, repo_root, tmp_path):
+        def lines(path):
+            return path.read_text().splitlines()
+
+        fx = repo_root / "fixtures"
+        raws = {json.loads(line)["url"] for line in lines(fx / "webpages.jsonl")}
+        for line in lines(fx / "tweets.jsonl"):
+            raws.update(json.loads(line)["urls"])
+        raws.update(line.strip() for line in lines(fx / "reference_urls.txt"))
+        workloads = load_workloads(repo_root)
+        workloads.make_share_network(repo_root, tmp_path / "share", seed=1)
+        workloads.make_score_corpus(repo_root, tmp_path / "score", seed=1)
+        for line in lines(tmp_path / "share" / "tweets.jsonl"):
+            try:
+                raws.update(json.loads(line)["urls"])
+            except (ValueError, KeyError):
+                pass  # the planted malformed lines
+        raws.update(json.loads(line)["url"]
+                    for line in lines(tmp_path / "score" / "webpages.jsonl"))
+        raws.update(row.split(",", 1)[0]
+                    for row in lines(tmp_path / "share" / "scores.csv")[1:])
+        assert len(raws) > 20_000
+        # All plain, so all on the fast path.
+        assert all(ingest._PLAIN_URL.fullmatch(raw) for raw in raws)
+        for raw in raws:
+            assert normalize_url_checked(raw) == ingest._normalize_url_split(raw)
 
 
 RAW_URLS = [
@@ -318,6 +434,206 @@ class TestParseTweets:
         assert table.user_ids == [r.user_id for r in records]
         assert table.follower_counts == [r.follower_count for r in records]
         assert table.urls == [r.urls for r in records]
+
+
+def tweet_json(tweet_id, urls=("http://a.org/",), **extra) -> str:
+    """A valid tweet line; ``extra`` keys follow the usual ones (overriding
+    one keeps its place) and ``urls`` comes last."""
+    record = {"tweet_id": tweet_id, "user_id": "u1", "follower_count": 10,
+              "is_retweet": False, "retweet_of": None,
+              "timestamp": "2017-05-01T10:00:00Z"}
+    record.update(extra)
+    record["urls"] = list(urls)
+    return json.dumps(record)
+
+
+def nested_line(tweet_id, depth: int) -> str:
+    """A valid tweet line with an array nested ``depth`` deep in key "x"."""
+    return tweet_json(tweet_id)[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}"
+
+
+def newline_pair() -> list[str]:
+    """Two list entries that decode alone as nothing, but joined by ",\\n"
+    as two tweets: the first holds a whole tweet, a newline and the start
+    of a second one, whose last URL is the second entry."""
+    second = tweet_json("n2", urls=["http://b.org/x", "http://c.org/y"])
+    cut = second.index(', "http://c.org/y"')
+    return [tweet_json("n1") + ",\n" + second[:cut], second[cut + 2:]]
+
+
+# Runs of adjacent lines that a decode of several lines at once must not
+# merge, split or misread: two lines that decode as one tweet when joined
+# (with a brace too many on each, plain and tweet-shaped, or a line that
+# ends inside an array and one that does not start with "{"), one line
+# that decodes as two tweets, a value before a first line or after a last
+# one, list entries with a newline inside, braces inside URL strings, NaN
+# and Infinity, a repeated key or tweet id, a lone surrogate, an escaped
+# non-ASCII URL, and arrays nested near Python's recursion limit.
+MERGE_PAIR = [tweet_json("m1")[:-1] + ', "x": [{"b": 1}', '{"c": 2}]}']
+OPEN_ARRAY_PAIR = [tweet_json("o1")[:-1] + ', "x": {"y": [1', '2]}}']
+SPLIT_LINE = [tweet_json("s1") + "," + tweet_json("s2")]
+LEADING_VALUE = ['"x", ' + tweet_json("e1")]
+TRAILING_VALUE = [tweet_json("e2") + ", 2"]
+ADVERSARIAL_BLOCKS = [
+    MERGE_PAIR,
+    ['{"a": [{"b": 1}', '{"c": 2}]}'],
+    OPEN_ARRAY_PAIR,
+    SPLIT_LINE,
+    ['{"x": 1},{"y": 2}'],
+    LEADING_VALUE,
+    TRAILING_VALUE,
+    newline_pair(),
+    [tweet_json("b1", urls=["http://a.org/{x}"])],
+    [tweet_json("b2", urls=["http://a.org/?q=},{"])],
+    [tweet_json("b3", urls=["http://a.org/p}"]), tweet_json("b4", urls=["http://a.org/{"])],
+    [tweet_json("nan1", follower_count=float("nan"))],
+    [tweet_json("nan2", score=float("nan"), rank=float("-inf"))],
+    ['{"tweet_id": "k1", ' + tweet_json("k2")[1:]],
+    [tweet_json("dup"), tweet_json("dup")],
+    [tweet_json("sur", urls=["http://a.org/\ud800"])],
+    [tweet_json("esc", urls=["http://bücher.example/é"])],
+    *[[nested_line(f"deep{d}", d)] for d in (50, 900, 990, 999, 1000, 1100)],
+]
+
+
+@st.composite
+def bulk_lines(draw):
+    """Tweet lines, mostly valid, mixed with one-field mutations, lines
+    that are not tweet objects, the adversarial runs above, and runs of
+    tweet lines mutated as the contract test mutates an input file."""
+    def mutated_run(lines):
+        data = draw(mutated("\n".join(lines).encode(), TEXT_MUTATIONS))
+        return data.decode("utf-8", "replace").split("\n")
+
+    # Valid lines get ids of their own, so that most lists stay under the
+    # more-than-half-malformed limit; ADVERSARIAL_BLOCKS repeats an id.
+    serial = iter(range(1 << 30))
+
+    def fresh(record):
+        record["tweet_id"] = f"r{next(serial)}"
+        return [json.dumps(record)]
+
+    runs = draw(st.lists(st.one_of(
+        *[tweet_record().map(fresh)] * 8,
+        *[tweet_line().map(lambda line: [line])] * 2,
+        st.sampled_from(ODD_LINES).map(lambda line: [line]),
+        st.sampled_from(ADVERSARIAL_BLOCKS),
+        st.lists(tweet_line(), min_size=1, max_size=3).map(mutated_run),
+    ), min_size=BULK_MIN_LINES + 1, max_size=60))
+    return [line for run in runs for line in run]
+
+
+def assert_parses_like_the_oracle(lines) -> None:
+    """parse_tweets on ``lines`` gives the per-line oracle's table and
+    skipped count, or the same CorruptInputError."""
+    try:
+        want = parse_tweets_per_line_oracle(lines)
+    except CorruptInputError as exc:
+        with pytest.raises(CorruptInputError) as got:
+            parse_tweets(lines)
+        assert str(got.value) == str(exc)
+        return
+    assert parse_tweets(lines) == want
+
+
+def assert_bulk_objects_are_the_lines_own(lines) -> None:
+    """Each object _bulk_decode gives is the one json.loads gives its line."""
+    stripped = [line.strip() for line in lines if line.strip()]
+    for line, obj in zip(stripped, ingest._bulk_decode(stripped), strict=True):
+        if obj is not ingest._UNDECODED:
+            assert repr(obj) == repr(json.loads(line))
+
+
+class TestBulkDecode:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(bulk_lines())
+    def test_matches_the_per_line_oracle(self, lines):
+        assert_parses_like_the_oracle(lines)
+        assert_bulk_objects_are_the_lines_own(lines)
+
+    # Each run is placed where it would slip through a certificate without
+    # one of its checks: the brace counts (merge, split), the newline count
+    # (newline pair), the separator count (open array), or the first and
+    # last characters (leading and trailing value).
+    @pytest.mark.parametrize("before, run, after, skipped", [
+        (10, MERGE_PAIR, 10, 2), (10, SPLIT_LINE, 10, 1),
+        (10, newline_pair(), 10, 2), (10, OPEN_ARRAY_PAIR, 10, 2),
+        (0, LEADING_VALUE, 20, 1), (20, TRAILING_VALUE, 0, 1),
+    ])
+    def test_runs_that_parse_differently_joined_decode_alone(
+        self, before, run, after, skipped
+    ):
+        lines = [tweet_json(f"g{i}") for i in range(before)]
+        lines += run + [tweet_json(f"h{i}") for i in range(after)]
+        objs = ingest._bulk_decode([line.strip() for line in lines])
+        assert all(objs[i] is ingest._UNDECODED for i in range(before, before + len(run)))
+        assert_bulk_objects_are_the_lines_own(lines)
+        table, got_skipped = parse_tweets(lines)
+        assert (len(table), got_skipped) == (20, skipped)
+        assert_parses_like_the_oracle(lines)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_chunk_edges_as_list_generator_and_file(self, n, tmp_path):
+        rng = random.Random(n)
+        pool = [run for run in ADVERSARIAL_BLOCKS if "\n" not in "".join(run)]
+        lines = []
+        while len(lines) < n:
+            if rng.random() < 0.9:
+                lines.append(tweet_json(f"t{len(lines)}", urls=[rng.choice(RAW_URLS)]))
+            else:
+                lines.extend(rng.choice(pool))
+        lines = lines[:n]
+        # Malformed lines on both sides of the chunk edge.
+        for at in (0, 1022, 1023, 1024):
+            if at < n:
+                lines[at] = '{"tweet_id": "bad'
+        want = parse_tweets_per_line_oracle(lines)
+        assert parse_tweets(lines) == want
+        assert parse_tweets(line for line in lines) == want
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n\n")
+        with open(path) as fh:
+            assert parse_tweets(fh) == want
+
+    @pytest.mark.parametrize("n, calls", [(8, 8), (9, 1), (1024, 1), (1025, 2),
+                                          (1033, 2), (2048, 2)])
+    def test_good_lines_take_one_decode_per_chunk(self, n, calls, monkeypatch):
+        counted = []
+
+        def loads(text):
+            counted.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(ingest, "json", SimpleNamespace(loads=loads))
+        table, skipped = parse_tweets([tweet_json(f"t{i}") for i in range(n)])
+        assert (len(table), skipped) == (n, 0)
+        assert len(counted) == calls
+
+    def test_depths_around_the_recursion_limit(self):
+        # The deepest line that decodes from here; parse_tweets and the
+        # oracle decode one frame further down, so the limit falls inside
+        # the sweep.
+        lo, hi = 1, 1 << 17
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                json.loads(nested_line("probe", mid))
+                lo = mid
+            except RecursionError:
+                hi = mid - 1
+        lines = [tweet_json(f"t{i}") for i in range(60)]
+        lines += [nested_line(f"d{d}", d) for d in range(lo - 40, lo + 3)]
+        table, skipped = parse_tweets_per_line_oracle(lines)
+        assert 0 < skipped < 43
+        assert parse_tweets(lines) == (table, skipped)
+
+    def test_bytes_lines_decode_one_by_one(self):
+        # Each is skipped (the str backslash test fails on bytes), as before.
+        lines = [tweet_json(f"t{i}").encode() for i in range(20)]
+        with pytest.raises(CorruptInputError, match="20/20"):
+            parse_tweets_per_line_oracle(lines)
+        assert_parses_like_the_oracle(lines)
 
 
 class TestLoadWebpages:
