@@ -258,13 +258,19 @@ def ensemble_from_dict(data: dict) -> tuple[EnsembleModel, TfIdfModel]:
 
 
 def read_labels_csv(path: str | Path) -> dict[str, tuple[int, ...]]:
-    """labels.csv: url,c1,...,c7 with a header row; values 0/1."""
+    """labels.csv: url,c1,...,c7 with a header row; values 0/1.
+
+    The labels are keyed by normalized URL, as the webpages are, so a file
+    that spells a URL another way still joins; two rows whose URLs
+    normalize alike are an error.
+    """
     labels: dict[str, tuple[int, ...]] = {}
 
     def parse(row: list[str]) -> None:
-        if row[0] in labels:
-            raise DataError(f"duplicate url {row[0]}")
-        labels[row[0]] = validate_labels([int(v) for v in row[1:]])
+        url = normalize_url(row[0])
+        if url in labels:
+            raise DataError(f"duplicate url {url}")
+        labels[url] = validate_labels([int(v) for v in row[1:]])
 
     read_csv(path, LABELS_HEADER, parse)
     if not labels:

@@ -633,6 +633,25 @@ class TestExitCodes:
         assert_one_error_line(capsys.readouterr().err, f"error: {bad}:2: {message}")
 
 
+def test_cv_joins_labels_that_spell_urls_another_way(fixtures_dir, tmp_path):
+    """labels.csv with scheme and host upper-cased gives the same report."""
+    lines = (fixtures_dir / "labels.csv").read_text().splitlines()
+    respelled = [lines[0]]
+    for line in lines[1:]:
+        scheme, rest = line.split("://", 1)
+        host, rest = rest.split("/", 1)
+        respelled.append(f"{scheme.upper()}://{host.upper()}/{rest}")
+    (tmp_path / "labels.csv").write_text("\n".join(respelled) + "\n")
+    for name, labels in [("fixture", fixtures_dir / "labels.csv"),
+                         ("respelled", tmp_path / "labels.csv")]:
+        assert main(["cv", "--docs", str(fixtures_dir / "webpages.jsonl"),
+                     "--labels", str(labels), "--out", f"{tmp_path}/{name}.csv",
+                     "--manifest", f"{tmp_path}/{name}.json"]) == 0
+    assert (tmp_path / "respelled.csv").read_bytes() == (
+        tmp_path / "fixture.csv"
+    ).read_bytes()
+
+
 def test_tweet_with_an_empty_url_is_skipped(pipeline, tmp_path):
     fx, out = pipeline["fx"], pipeline["out"]
     empty = json.loads(TWEET_LINES[0]) | {"tweet_id": "t99", "urls": [""]}

@@ -245,6 +245,24 @@ class TestCsvFormats:
         with pytest.raises(DataError):
             read_labels_csv(path)
 
+    def test_labels_are_keyed_by_normalized_url(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "url,c1,c2,c3,c4,c5,c6,c7\n"
+            "HTTP://A.org?utm_source=x#top,1,0,1,0,1,0,1\n"
+        )
+        assert read_labels_csv(path) == {"http://a.org/": (1, 0, 1, 0, 1, 0, 1)}
+
+    def test_labels_reject_urls_that_normalize_alike(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "url,c1,c2,c3,c4,c5,c6,c7\n"
+            "http://a.org/,1,0,1,0,1,0,1\n"
+            "HTTP://A.org#top,0,0,0,0,0,0,0\n"
+        )
+        with pytest.raises(DataError, match=r"labels\.csv:3: duplicate url http://a\.org/"):
+            read_labels_csv(path)
+
     def test_scores_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
         results = {
