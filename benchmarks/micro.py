@@ -208,7 +208,7 @@ def kernels(args):
     problem = make_sparse_problem(args.docs, args.features, args.nnz, args.seed)
 
     def svm_fit(impl):
-        return lambda: [impl.svm_fit(*problem, 1.0, 1e-4, 200, args.seed, False)]
+        return lambda: [impl.svm_fit(*problem, 1.0, 1e-4, 200, args.seed)]
 
     yield (f"svm_fit: {args.docs} docs, {args.features} features, "
            f"{args.nnz}+1 nnz/doc, C=1.0",

@@ -7,7 +7,8 @@ that are not C-contiguous are copied; a wrong dtype or number of
 dimensions raises ``TypeError`` before any C code runs, and an index out
 of range raises ``IndexError``.  A library without one of the kernels
 raises ``OSError`` on load, like one that cannot be opened, so a stale
-build falls back to the pure kernels.
+build falls back to the pure kernels; the C SVM is ``linear_svm_fit``, so
+an older build's 15-argument ``svm_fit`` is never called.
 """
 
 from __future__ import annotations
@@ -40,17 +41,16 @@ def load(path) -> SimpleNamespace:
     or lacks a kernel (e.g. one built from an older ``kernels.c``)."""
     lib = ctypes.CDLL(str(path))
     try:
-        c_svm_fit, c_node_best_splits = lib.svm_fit, lib.node_best_splits
+        c_node_best_splits, c_svm_fit = lib.node_best_splits, lib.linear_svm_fit
     except AttributeError as exc:
         raise OSError(str(exc)) from exc
     c_svm_fit.restype = c_node_best_splits.restype = ctypes.c_int
     c_svm_fit.argtypes = [_P, _P, _P, _P, _I64, _I64, _I64, _F64, _F64, _I64,
-                          ctypes.c_uint64, _P, _P, _OUT, _P]
+                          ctypes.c_uint64, _P, _P, _OUT]
     c_node_best_splits.argtypes = [_P, _I64, _I64, _P, _P, _I64, _P, _I64,
                                    _P, _I64, _P]
 
-    def svm_fit(indptr, indices, data, y, dim, C, tol, max_epochs, seed,
-                record_objective=False):
+    def svm_fit(indptr, indices, data, y, dim, C, tol, max_epochs, seed):
         indptr = _arr(indptr, np.int64, 1, "indptr")
         indices = _arr(indices, np.int32, 1, "indices")
         data = _arr(data, np.float64, 1, "data")
@@ -59,16 +59,12 @@ def load(path) -> SimpleNamespace:
         if len(indptr) != n + 1 or len(indices) != len(data):
             raise ValueError("svm_fit: CSR arrays do not match y")
         w, alpha, out = np.zeros(dim), np.zeros(n), _OUT()
-        hist = np.zeros((2, max(max_epochs, 0))) if record_objective else None
         _check(c_svm_fit(
             indptr.ctypes.data, indices.ctypes.data, data.ctypes.data,
             y.ctypes.data, n, len(data), dim, C, tol, max_epochs, seed,
             w.ctypes.data, alpha.ctypes.data, out,
-            None if hist is None else hist.ctypes.data,
         ), "svm_fit")
-        bias, epochs, converged = out[0], int(out[1]), bool(out[2])
-        primal, dual = (None, None) if hist is None else hist[:, :epochs].tolist()
-        return w, bias, alpha, epochs, converged, primal, dual
+        return w, out[0], alpha, int(out[1]), bool(out[2])
 
     def node_best_splits(X, rows, feats, y):
         X = _arr(X, np.float64, 2, "X")

@@ -22,12 +22,12 @@ static uint64_t next_u64(uint64_t *state) {
  * [pg_min_old, pg_max_old] is swapped behind it (a bound inside tol shrinks
  * nothing), and only a full pass with max |PG| < tol converges.  w, alpha
  * and out come zeroed; out receives the bias, the passes run and 1 if
- * converged.  hist receives max_epochs primal then max_epochs dual
- * objectives, or is NULL. */
-int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
-            const double *y, int64_t n, int64_t nnz, int64_t dim, double C,
-            double tol, int64_t max_epochs, uint64_t state, double *w,
-            double *alpha, double *out, double *hist) {
+ * converged.  Named apart from the svm_fit of older builds, which took a
+ * 15th argument, so that compiled.py never binds one of those. */
+int linear_svm_fit(const int64_t *indptr, const int32_t *indices,
+                   const double *data, const double *y, int64_t n, int64_t nnz,
+                   int64_t dim, double C, double tol, int64_t max_epochs,
+                   uint64_t state, double *w, double *alpha, double *out) {
     double wb = 0.0, *qii = malloc((n + 1) * (sizeof(double) + sizeof(int64_t)));
     if (qii == NULL)
         return -2;
@@ -78,21 +78,6 @@ int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
                 wb += d;
                 alpha[i] = a_new;
             }
-        }
-        if (hist != NULL) {
-            double hinge = 0.0, asum = 0.0, reg = 0.0;
-            for (int64_t i = 0; i < n; i++) {
-                double margin = 0.0;
-                for (int64_t k = indptr[i]; k < indptr[i + 1]; k++)
-                    margin += data[k] * w[indices[k]];
-                margin = y[i] * (margin + wb);
-                hinge += margin < 1.0 ? 1.0 - margin : 0.0;
-                asum += alpha[i];
-            }
-            for (int64_t k = 0; k < dim; k++)
-                reg += w[k] * w[k];
-            hist[epoch] = 0.5 * (reg + wb * wb) + C * hinge;
-            hist[max_epochs + epoch] = asum - 0.5 * (reg + wb * wb);
         }
         out[1] = (double)(epoch + 1);
         if ((pg_max > -pg_min ? pg_max : -pg_min) < tol) {

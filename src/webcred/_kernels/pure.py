@@ -16,10 +16,8 @@ shrinks nothing, which removes the common case where the sign of a ~1e-16 residu
 decides a whole bound; a gradient within ulps of a nonzero bound can still
 be shrunk by one kernel and visited by the other, so the passes the two
 run can differ (0 of 2,000 random test problems did).
-``objectives`` evaluates the SVM's primal and dual
-objectives; the pure kernel's per-epoch histories and the duality gap that
-``svm.train_linear_svm`` reports both come from it (``kernels.c`` keeps its
-own C twin for its histories).
+``objectives`` evaluates the SVM's primal and dual objectives; the
+duality gap that ``svm.train_linear_svm`` reports comes from it.
 """
 
 from __future__ import annotations
@@ -41,14 +39,12 @@ def svm_fit(
     tol: float,
     max_epochs: int,
     seed: int,
-    record_objective: bool = False,
 ):
     """Dual coordinate descent for the L1-loss linear SVM, with shrinking.
 
     Solves min 1/2 ||w||^2 + C sum max(0, 1 - y_i f(x_i)) with the bias
     realised as a constant augmented feature (so it is regularized too).
-    y must be +-1.  Returns (w, bias, alpha, epochs_run, converged,
-    primal_history, dual_history); histories are None unless requested.
+    y must be +-1.  Returns (w, bias, alpha, epochs_run, converged).
 
     Shrinking follows LIBLINEAR (Hsieh et al., ICML 2008, section 3.2; Fan
     et al., JMLR 2008): each pass visits the active rows, the prefix
@@ -83,8 +79,6 @@ def svm_fit(
     active = n
     pg_max_old, pg_min_old = math.inf, -math.inf
     rng = SplitMix64(seed)
-    primal_hist: list[float] = []
-    dual_hist: list[float] = []
     epochs_run = 0
     converged = False
     for _ in range(max_epochs):
@@ -126,10 +120,6 @@ def svm_fit(
                     wb += d
                     alpha[i] = a_new
         epochs_run += 1
-        if record_objective:
-            primal, dual = objectives(indptr, indices, data, y, w, wb, C, alpha)
-            primal_hist.append(primal)
-            dual_hist.append(dual)
         if max(pg_max, -pg_min) < tol:
             if active == n:
                 converged = True
@@ -143,15 +133,7 @@ def svm_fit(
         # pass shrinks every row at that bound or none.
         pg_max_old = pg_max if pg_max >= tol else math.inf
         pg_min_old = pg_min if pg_min <= -tol else -math.inf
-    return (
-        w,
-        wb,
-        np.array(alpha),
-        epochs_run,
-        converged,
-        primal_hist if record_objective else None,
-        dual_hist if record_objective else None,
-    )
+    return w, wb, np.array(alpha), epochs_run, converged
 
 
 def objectives(indptr, indices, data, y, w, wb, C, alpha) -> tuple[float, float]:

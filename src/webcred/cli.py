@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from operator import attrgetter
 from pathlib import Path
@@ -60,6 +61,16 @@ class RunManifest:
     def record_output(self, path: str | Path | None) -> None:
         if path:
             self.data["outputs"][str(path)] = self._sha256(path)
+
+
+@contextmanager
+def _naming(path: str | Path):
+    """Prefix ``path: `` to a DataError raised inside, which is about the
+    whole input file at ``path`` and so names no line of it."""
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -265,8 +276,9 @@ def _cmd_kappa(args) -> None:
         return subject, rater, category
 
     rows = read_csv(args.ratings, ("subject", "rater", "category"), parse)
-    matrix, _subjects, categories = stats.ratings_matrix_from_rows(rows)
-    result = stats.fleiss_kappa(matrix)
+    with _naming(args.ratings):
+        matrix, _subjects, categories = stats.ratings_matrix_from_rows(rows)
+        result = stats.fleiss_kappa(matrix)
     payload = result.to_dict()
     payload["categories"] = categories
     _write_json(payload, args.out)
@@ -283,10 +295,11 @@ def _cmd_terms(args) -> None:
         low = scored[url].bucket == "low"
         n_low += low
         (low_df if low else other_df).update(set(tokenize(clean_text(doc.text))))
-    vocab = textprep.vocabulary_from_df(low_df + other_df, len(urls), args.min_df)
-    ranked = stats.term_significance_from_df(
-        low_df, n_low, other_df, len(urls) - n_low, vocab.terms
-    )
+    with _naming(args.scores):
+        vocab = textprep.vocabulary_from_df(low_df + other_df, len(urls), args.min_df)
+        ranked = stats.term_significance_from_df(
+            low_df, n_low, other_df, len(urls) - n_low, vocab.terms
+        )
     stats.write_terms_csv(ranked, args.out)
 
 
@@ -295,7 +308,9 @@ def _cmd_exposure(args) -> None:
     scored = credibility.read_scores_csv(args.scores)
     shares = exposure.aggregate_shares(tweets, scored)
     exposure.write_exposure_csv(shares, scored, args.out)
-    report = exposure.bucket_share_report(shares, scored)
+    # One share record per scored url: none means an empty scores file.
+    with _naming(args.scores):
+        report = exposure.bucket_share_report(shares, scored)
     report["top_exposures"] = [
         asdict(s) for s in exposure.top_exposures(shares, args.top)
     ]

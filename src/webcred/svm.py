@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +45,6 @@ class SvmModel:
     epochs_run: int = 0
     converged: bool = True
     relative_gap: float | None = None
-    primal_history: list[float] = field(default_factory=list)
-    dual_history: list[float] = field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -96,18 +94,24 @@ class SvmModel:
     @classmethod
     def from_dict(cls, data: dict) -> "SvmModel":
         """Inverse of :meth:`to_dict`; models saved without "fit" load too.
-        A value that is not a number raises DataError."""
+        A value that is not a number, a C that training would reject, a
+        negative ``epochs_run`` or a ``converged`` that is not a JSON bool
+        raises DataError."""
         model = cls(
             weights=json_numbers(data["weights"], "svm weight"),
             bias=json_number(data["bias"], "svm bias"),
             C=json_number(data["params"]["C"], "C"),
         )
+        _check_c(model.C)
         if "fit" in data:
             fit = data["fit"]
-            model.epochs_run = json_number(
-                fit["epochs_run"], "epochs_run", integer=True
-            )
-            model.converged = bool(fit["converged"])
+            epochs_run = json_number(fit["epochs_run"], "epochs_run", integer=True)
+            if epochs_run < 0:
+                raise DataError(f"epochs_run must be at least 0, got {epochs_run}")
+            converged = fit["converged"]
+            if type(converged) is not bool:
+                raise DataError(f"converged must be true or false, got {converged!r}")
+            model.epochs_run, model.converged = epochs_run, converged
             model.relative_gap = json_number(fit["relative_gap"], "relative_gap")
         return model
 
@@ -138,7 +142,6 @@ def train_linear_svm(
     y: Sequence[int],
     C: float = DEFAULT_C,
     seed: int = 0,
-    record_objective: bool = False,
 ) -> SvmModel:
     """Train on 0/1 labels; class 0 is mapped to the -1 side.
 
@@ -146,10 +149,10 @@ def train_linear_svm(
     Deterministic for a fixed seed.  Stops when the largest projected
     gradient over a full pass drops below ``TOLERANCE``, or after
     ``MAX_EPOCHS`` passes (shrunk ones included; see
-    ``_kernels.pure.svm_fit``), which is logged as a warning.  The objective
-    histories are in the units of the module docstring's objective, and
-    ``relative_gap`` is (P - D) / max(1, |P|) for that objective P and its
-    dual D at the returned solution, both from ``_kernels.pure.objectives``.
+    ``_kernels.pure.svm_fit``), which is logged as a warning.
+    ``relative_gap`` is (P - D) / max(1, |P|) for the module docstring's
+    objective P and its dual D at the returned solution, both from
+    ``_kernels.pure.objectives``.
     """
     _check_c(C)
     X = to_csr(X)
@@ -165,17 +168,8 @@ def train_linear_svm(
     # is bit for bit the one computed on the documented scale.
     s = BIAS_SCALE
     kernel_data, kernel_c = data * s, float(C) / (s * s)
-    w, bias, alpha, epochs_run, converged, primal, dual = _kernels.svm_fit(
-        indptr,
-        indices,
-        kernel_data,
-        signs,
-        dim,
-        kernel_c,
-        TOLERANCE,
-        MAX_EPOCHS,
-        seed,
-        record_objective,
+    w, bias, alpha, epochs_run, converged = _kernels.svm_fit(
+        indptr, indices, kernel_data, signs, dim, kernel_c, TOLERANCE, MAX_EPOCHS, seed
     )
     weights = w * s
     bias = float(bias)
@@ -198,7 +192,5 @@ def train_linear_svm(
         epochs_run=epochs_run,
         converged=converged,
         relative_gap=gap,
-        primal_history=[s * s * v for v in primal or []],
-        dual_history=[s * s * v for v in dual or []],
     )
 

@@ -402,7 +402,7 @@ def svm_fit_unshrunk_oracle(
     replaced with one that shrinks, kept verbatim as the reference: every
     epoch visits every row, in a fresh shuffle, and stops once the largest
     projected gradient of an epoch is under ``tol``.  Returns what
-    ``svm_fit`` returns, without objective histories."""
+    ``svm_fit`` returns."""
     n = len(y)
     w = np.zeros(dim)
     wb = 0.0
@@ -443,7 +443,7 @@ def svm_fit_unshrunk_oracle(
         if max_violation < tol:
             converged = True
             break
-    return w, wb, np.array(alpha), epochs_run, converged, None, None
+    return w, wb, np.array(alpha), epochs_run, converged
 
 
 def svm_fit_take_put_oracle(
@@ -451,10 +451,9 @@ def svm_fit_take_put_oracle(
 ):
     """The shrinking dual coordinate descent loop that
     ``_kernels.pure.svm_fit`` replaced with one that indexes w through intp
-    columns, kept verbatim as the reference (less the objective
-    histories): w is gathered with ``take`` and scattered with ``put`` on
-    the int32 columns.  Returns what
-    ``svm_fit`` returns, without objective histories."""
+    columns, kept verbatim as the reference: w is gathered with ``take``
+    and scattered with ``put`` on the int32 columns.  Returns what
+    ``svm_fit`` returns."""
     n = len(y)
     w = np.zeros(dim)
     wb = 0.0
@@ -529,15 +528,7 @@ def svm_fit_take_put_oracle(
         # pass shrinks every row at that bound or none.
         pg_max_old = pg_max if pg_max >= tol else math.inf
         pg_min_old = pg_min if pg_min <= -tol else -math.inf
-    return (
-        w,
-        wb,
-        np.array(alpha),
-        epochs_run,
-        converged,
-        None,
-        None,
-    )
+    return w, wb, np.array(alpha), epochs_run, converged
 
 
 def svm_relative_gap_oracle(indptr, indices, data, signs, weights, bias, C, s, alpha):

@@ -497,9 +497,17 @@ class TestExitCodes:
              "criterion 1: model dimension 1 is not the TF-IDF dimension"),
             (("criteria", 1, "weights_or_trees", "trees"), [],
              "criterion 2: 0 trees for n_estimators"),
+            (("criteria", 0, "weights_or_trees", "fit"),
+             {"epochs_run": 3, "converged": "false", "relative_gap": 0.0},
+             "criterion 1: converged must be true or false, got 'false'"),
+            (("criteria", 0, "weights_or_trees", "fit"),
+             {"epochs_run": -3, "converged": True, "relative_gap": 0.0},
+             "criterion 1: epochs_run must be at least 0, got -3"),
+            (("criteria", 0, "params", "C"), -1.0,
+             "criterion 1: C must be a positive finite number, got -1.0"),
         ],
         ids=["svm-weight", "threshold", "criterion", "feature", "norm", "vocab-index",
-             "dimension", "no-trees"],
+             "dimension", "no-trees", "converged", "epochs-run", "svm-c"],
     )
     def test_malformed_model_value_exits_1(self, pipeline, tmp_path, capsys, where,
                                            value, message):
@@ -631,6 +639,53 @@ class TestExitCodes:
         rc = main(argv + ["--manifest", str(tmp_path / "m.json")])
         assert rc == 1
         assert_one_error_line(capsys.readouterr().err, f"error: {bad}:2: {message}")
+
+
+@pytest.mark.parametrize(
+    "stage, rows, message",
+    [
+        ("kappa", ["s0,r0,yes", "s0,r1,no", "s0,r2,no", "s1,r0,yes", "s1,r1,no"],
+         "row sums to 2, expected 3 raters per subject"),
+        ("kappa", ["s0,r0,yes", "s0,r1,no"], "fleiss kappa needs at least 2 subjects"),
+        ("kappa", ["s0,r0,yes", "s0,r1,yes", "s1,r0,yes", "s1,r1,yes"],
+         "fleiss kappa needs at least 2 categories"),
+        ("exposure", [], "no share records to report on"),
+        ("terms", [], "cannot build a vocabulary from an empty corpus"),
+        ("terms", "high", "both document sets must be non-empty"),
+    ],
+    ids=["ragged-raters", "one-subject", "one-category", "exposure-empty",
+         "terms-empty", "terms-all-high"],
+)
+def test_whole_file_error_names_the_file(pipeline, tmp_path, capsys, stage, rows,
+                                         message):
+    fx, out = pipeline["fx"], pipeline["out"]
+    source = fx / "ratings.csv" if stage == "kappa" else out / "scores.csv"
+    header, *lines = source.read_text().splitlines()
+    if rows == "high":
+        rows = [line for line in lines if line.endswith(",high")]
+        assert rows
+    bad = tmp_path / source.name
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    argv = {
+        "kappa": ["kappa", "--ratings", str(bad)],
+        "exposure": ["exposure", "--tweets", f"{fx}/tweets.jsonl", "--scores", str(bad),
+                     "--report", f"{tmp_path}/report.json"],
+        "terms": ["terms", "--docs", f"{fx}/webpages.jsonl", "--scores", str(bad)],
+    }[stage]
+    rc = main(argv + ["--out", f"{tmp_path}/out", "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err, f"error: {bad}: {message}")
+
+
+def test_graph_on_a_header_only_scores_file_writes_an_empty_graph(pipeline, tmp_path):
+    fx = pipeline["fx"]
+    scores = tmp_path / "scores.csv"
+    scores.write_text((pipeline["out"] / "scores.csv").read_text().splitlines()[0] + "\n")
+    rc = main(["graph", "--tweets", f"{fx}/tweets.jsonl", "--scores", str(scores),
+               "--followers", f"{fx}/followers.csv", "--dot", f"{tmp_path}/net.dot",
+               "--manifest", f"{tmp_path}/m.json"])
+    assert rc == 0
+    assert (tmp_path / "net.dot").read_text().splitlines() == ["digraph followers {", "}"]
 
 
 def test_cv_joins_labels_that_spell_urls_another_way(fixtures_dir, tmp_path):

@@ -36,15 +36,12 @@ def call_split(impl, args):
 
 def call_svm(impl, args, dim, seed=7):
     return impl.svm_fit(args["indptr"], args["indices"], args["data"], args["y"],
-                        dim, 0.5, 1e-6, 40, seed, True)
+                        dim, 0.5, 1e-6, 40, seed)
 
 
 def assert_same_fit(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-    assert got[1] == want[1] and got[3:5] == want[3:5]
-    # pure.py sums the objectives through BLAS, in another order.
-    for hist_got, hist_want in zip(got[5:], want[5:]):
-        np.testing.assert_allclose(hist_got, hist_want, rtol=1e-12)
+    assert got[1] == want[1] and got[3:] == want[3:]
 
 
 def strided(a):

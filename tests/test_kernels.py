@@ -108,6 +108,50 @@ def test_library_without_a_kernel_falls_back_to_pure(tmp_path):
     assert out.stdout.split() == ["pure", "True"]
 
 
+# The exports of a library built from kernels.c before its SVM entry point
+# became linear_svm_fit: an svm_fit that also took an objective-history
+# buffer, which the binding must never call.
+OLD_KERNELS_STUB = """
+#include <stdint.h>
+int svm_fit(const int64_t *indptr, const int32_t *indices, const double *data,
+            const double *y, int64_t n, int64_t nnz, int64_t dim, double C,
+            double tol, int64_t max_epochs, uint64_t state, double *w,
+            double *alpha, double *out, double *hist) { return 0; }
+int node_best_splits(const double *X, int64_t n_rows, int64_t n_cols,
+                     const int32_t *rows, const int64_t *row_ptr, int64_t n_nodes,
+                     const int32_t *feats, int64_t n_feats, const int8_t *y,
+                     int64_t n_y, double *out) { return 0; }
+"""
+
+
+def test_library_with_the_old_svm_entry_point_falls_back_to_pure(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler to build the stub library")
+    from webcred._kernels.compiled import load
+
+    package = tmp_path / "webcred"
+    shutil.copytree(Path(_kernels.__file__).parents[1], package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    stub = tmp_path / "old_kernels.c"
+    stub.write_text(OLD_KERNELS_STUB)
+    lib = package / "_kernels" / _kernels.LIBRARY.name
+    subprocess.run([cc, "-shared", "-fPIC", str(stub), "-o", str(lib)], check=True)
+    with pytest.raises(OSError, match="linear_svm_fit"):
+        load(lib)
+    code = (
+        "import webcred.cli; from webcred import _kernels; "
+        "print(_kernels.ACTIVE_IMPL, _kernels.LIBRARY.exists())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    env.pop("WEBCRED_PURE_KERNELS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["pure", "True"]
+
+
 class TestSplitEquivalence:
     def test_identical_on_random_nodes(self, compiled_kernels):
         rng = random.Random(1)
@@ -336,8 +380,8 @@ class TestSvmEquivalence:
                 continue
             dim = 6
             args = (indptr, indices, data, y, dim, 1.0, 1e-4, 500, trial)
-            w_p, b_p, a_p, e_p, c_p = pure.svm_fit(*args, False)[:5]
-            w_f, b_f, a_f, e_f, c_f = compiled_kernels.svm_fit(*args, False)[:5]
+            w_p, b_p, a_p, e_p, c_p = pure.svm_fit(*args)
+            w_f, b_f, a_f, e_f, c_f = compiled_kernels.svm_fit(*args)
             # Identical visit order and update rules; only the dot-product
             # summation order differs, so results agree to float noise.
             assert e_p == e_f
@@ -352,8 +396,8 @@ class TestSvmEquivalence:
         data = np.array([1.0, 1.0])
         y = np.array([1.0, -1.0])
         args = (indptr, indices, data, y, 2, 100.0, 1e-4, 1000, 0)
-        out_pure = pure.svm_fit(*args, False)
-        out_fast = compiled_kernels.svm_fit(*args, False)
+        out_pure = pure.svm_fit(*args)
+        out_fast = compiled_kernels.svm_fit(*args)
         assert np.array_equal(out_pure[0], out_fast[0])
         assert out_pure[1] == out_fast[1]
         assert out_pure[3] == out_fast[3]
@@ -400,8 +444,8 @@ class TestSvmShrinking:
         # dot product could change which rows a pass visits; the passes and
         # the solution must still agree.
         args, single = problem
-        w_p, b_p, a_p, e_p, c_p = pure.svm_fit(*args)[:5]
-        w_f, b_f, a_f, e_f, c_f = compiled_kernels.svm_fit(*args)[:5]
+        w_p, b_p, a_p, e_p, c_p = pure.svm_fit(*args)
+        w_f, b_f, a_f, e_f, c_f = compiled_kernels.svm_fit(*args)
         assert (e_p, c_p) == (e_f, c_f)
         if single:
             # One product per dot: both kernels round identically.
@@ -430,7 +474,7 @@ class TestSvmShrinking:
         indptr, indices, data, y, _dim, C = args[:6]
         gaps, primals = [], []
         for fit in (pure.svm_fit, svm_fit_unshrunk_oracle):
-            w, wb, alpha, _epochs, converged = fit(*args)[:5]
+            w, wb, alpha, _epochs, converged = fit(*args)
             assert converged
             primal, dual = pure.objectives(indptr, indices, data, y, w, wb, C, alpha)
             primals.append(primal)

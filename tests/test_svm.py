@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,38 @@ def random_separable_problem(rng: random.Random, n_docs: int, dim: int):
         vals[0] = -vals[0]
         X[0] = SparseVector(indices=X[0].indices, values=vals, dim=dim)
     return X, y
+
+
+def objective_histories(X, y, C: float, seed: int):
+    """(primal, dual, model): the documented objectives after each pass of
+    ``train_linear_svm``'s fit, and its model.  A fit capped at e passes
+    runs the first e passes of the uncapped one, so entry e - 1 is
+    ``pure.objectives`` of the fit capped at e passes, scaled by
+    BIAS_SCALE**2 from the kernel's units to the documented ones."""
+    kernel, calls = _kernels.svm_fit, []
+
+    def recording_fit(*args):
+        calls.append((args, kernel(*args)))
+        return calls[-1][1]
+
+    primal, dual = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "svm_fit", recording_fit)
+        model = train_linear_svm(X, y, C=C, seed=seed)
+        for cap in range(1, model.epochs_run + 1):
+            mp.setattr(webcred.svm, "MAX_EPOCHS", cap)
+            capped = train_linear_svm(X, y, C=C, seed=seed)
+            (indptr, indices, data, signs, _dim, kernel_c, *_), fit = calls[-1]
+            w, wb, alpha = fit[:3]
+            p, d = _kernels.pure.objectives(
+                indptr, indices, data, signs, w, wb, kernel_c, alpha
+            )
+            primal.append(BIAS_SCALE**2 * p)
+            dual.append(BIAS_SCALE**2 * d)
+    # The fit capped at its own pass count is the fit.
+    assert np.array_equal(capped.weights, model.weights)
+    assert capped.bias == model.bias
+    return primal, dual, model
 
 
 class TestTwoPointProblem:
@@ -127,7 +160,7 @@ class TestSolverProperties:
             indptr, indices, data, dim = to_csr(X)
             signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
             out = _kernels.svm_fit(indptr, indices, data, signs, dim,
-                                   C, 1e-4, 1000, trial, False)
+                                   C, 1e-4, 1000, trial)
             alpha = out[2]
             assert np.all(alpha >= 0.0)
             assert np.all(alpha <= C)
@@ -136,10 +169,7 @@ class TestSolverProperties:
         for trial in range(10):
             rng = random.Random(400 + trial)
             X, y = random_separable_problem(rng, rng.randint(8, 25), 5)
-            model = train_linear_svm(X, y, C=1.0, seed=trial,
-                                     record_objective=True)
-            history = model.dual_history
-            assert history is not None
+            _primal, history, _model = objective_histories(X, y, 1.0, trial)
             for earlier, later in zip(history, history[1:]):
                 assert later >= earlier - 1e-9
 
@@ -147,11 +177,9 @@ class TestSolverProperties:
         for trial in range(10):
             rng = random.Random(500 + trial)
             X, y = random_separable_problem(rng, rng.randint(8, 25), 5)
-            model = train_linear_svm(X, y, C=1.0, seed=trial,
-                                     record_objective=True)
+            primals, duals, model = objective_histories(X, y, 1.0, trial)
             assert model.converged
-            primal = model.primal_history[-1]
-            dual = model.dual_history[-1]
+            primal, dual = primals[-1], duals[-1]
             assert primal >= dual - 1e-9
             assert (primal - dual) / max(1.0, abs(primal)) < 1e-3
 
@@ -159,15 +187,14 @@ class TestSolverProperties:
         for trial in range(10):
             rng = random.Random(600 + trial)
             X, y = random_separable_problem(rng, rng.randint(8, 25), 5)
-            model = train_linear_svm(X, y, C=1.0, seed=trial,
-                                     record_objective=True)
-            assert model.primal_history[-1] <= model.primal_history[0] + 1e-9
+            primal, _dual, _model = objective_histories(X, y, 1.0, trial)
+            assert primal[-1] <= primal[0] + 1e-9
 
     def test_histories_use_the_documented_objective(self):
         rng = random.Random(700)
         X, y = random_separable_problem(rng, 20, 5)
         C = 10.0
-        model = train_linear_svm(X, y, C=C, seed=1, record_objective=True)
+        primals, duals, model = objective_histories(X, y, C, 1)
         hinge = sum(
             max(0.0, 1.0 - (1.0 if label else -1.0) * model.decision_function(x))
             for x, label in zip(X, y)
@@ -176,10 +203,10 @@ class TestSolverProperties:
             0.5 * (model.weights @ model.weights + (BIAS_SCALE * model.bias) ** 2)
             + C * hinge
         )
-        assert model.primal_history[-1] == pytest.approx(primal, rel=1e-12)
-        gap = model.primal_history[-1] - model.dual_history[-1]
+        assert primals[-1] == pytest.approx(primal, rel=1e-12)
+        gap = primals[-1] - duals[-1]
         assert model.relative_gap == pytest.approx(
-            gap / max(1.0, model.primal_history[-1]), rel=1e-6, abs=1e-12
+            gap / max(1.0, primals[-1]), rel=1e-6, abs=1e-12
         )
 
     @pytest.mark.parametrize("impl", ["pure", "compiled"])
@@ -257,7 +284,7 @@ class TestSolverProperties:
         indptr, indices, data, dim = to_csr(X)
         signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
         out = _kernels.svm_fit(indptr, indices, data, signs, dim,
-                               100.0, 1e-12, 1, 0, False)
+                               100.0, 1e-12, 1, 0)
         assert out[3] == 1
         assert not out[4]
 
@@ -274,6 +301,25 @@ class TestSerialization:
         assert restored.C == model.C
         for x in X:
             assert restored.predict(x) == model.predict(x)
+        assert restored.to_dict() == model.to_dict()
+
+    @pytest.mark.parametrize(
+        "fit, params, message",
+        [
+            ({"converged": "false"}, {}, "converged must be true or false, got 'false'"),
+            ({"converged": 1}, {}, "converged must be true or false, got 1"),
+            ({"epochs_run": -3}, {}, "epochs_run must be at least 0, got -3"),
+            ({}, {"C": -1.0}, "C must be a positive finite number, got -1.0"),
+        ],
+        ids=["converged-string", "converged-int", "epochs-run", "c"],
+    )
+    def test_from_dict_rejects_what_training_cannot_write(self, fit, params, message):
+        X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
+        data = train_linear_svm(X, [1, 0], C=100.0, seed=0).to_dict()
+        data["fit"].update(fit)
+        data["params"].update(params)
+        with pytest.raises(DataError, match=re.escape(message)):
+            SvmModel.from_dict(data)
 
     def test_dict_shape(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
