@@ -27,7 +27,7 @@ from .errors import (
 from .rng import stream_seed
 # transform is unused here but stays bound: perfbench's tracer self-test
 # checks that tracing wraps cli.transform.
-from .textprep import clean_text, tokenize, transform
+from .textprep import transform
 
 DEFAULT_SEED = 42
 
@@ -85,21 +85,20 @@ def _load_docs(path: str | Path) -> dict[str, ingest.WebDocument]:
 
 
 def _load_tweets(path: str | Path) -> tuple[ingest.TweetTable, int]:
-    with open_input(path) as fh:
+    with open_input(path) as fh, _naming(path):
         return ingest.parse_tweets(fh)
 
 
 def _docs_for_urls(
-    docs_path: str | Path, urls: list[str], kind: str
+    docs_path: str | Path, urls_path: str | Path, urls: list[str]
 ) -> list[ingest.WebDocument]:
-    """The documents of ``urls`` in url order; ``kind`` names the urls in
-    the error raised when some are missing from the document set."""
+    """The documents of ``urls``, read from ``urls_path``, in url order;
+    the error raised when some are missing names both files."""
     docs = _load_docs(docs_path)
     missing = [u for u in urls if u not in docs]
     if missing:
         raise DataError(
-            f"{len(missing)} {kind} urls missing from the document set, "
-            f"first: {missing[0]}"
+            f"{urls_path}: {len(missing)} urls not in {docs_path}, first: {missing[0]}"
         )
     return [docs[u] for u in urls]
 
@@ -111,8 +110,9 @@ def _labelled_corpus(
     counts, labels per criterion) with urls in sorted order."""
     labels = credibility.read_labels_csv(labels_path)
     urls = sorted(labels)
-    docs = _docs_for_urls(docs_path, urls, "labelled")
-    term_counts = [Counter(tokenize(clean_text(doc.text))) for doc in docs]
+    docs = _docs_for_urls(docs_path, labels_path, urls)
+    with _naming(docs_path):
+        term_counts = [Counter(credibility.page_tokens(doc)) for doc in docs]
     labels_by_criterion = {
         k: [labels[u][k - 1] for u in urls] for k in range(1, credibility.N_CRITERIA + 1)
     }
@@ -148,11 +148,9 @@ def _cmd_ingest(args) -> None:
                     reference.add(ingest.normalize_url(line.strip()))
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-        both, corpus_only = ingest.intersect_urlsets(
-            {d.url for d in deduped}, reference
-        )
-        payload["reference_intersection"] = len(both)
-        payload["reference_corpus_only"] = len(corpus_only)
+        corpus = {d.url for d in deduped}
+        payload["reference_intersection"] = len(corpus & reference)
+        payload["reference_corpus_only"] = len(corpus - reference)
     _write_json(payload, args.report)
 
 
@@ -184,7 +182,8 @@ def _cmd_train(args) -> None:
     params = _model_params(args)
     _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
     cv_report = evalmod.read_cv_report_csv(args.cv_report)
-    chosen = credibility.select_families(cv_report)
+    with _naming(args.cv_report):
+        chosen = credibility.select_families(cv_report)
     tfidf, X = evalmod.fit_features(token_docs)
     trained = {}
     for criterion, family in chosen.items():
@@ -250,7 +249,8 @@ def _load_model(path: str | Path):
 def _cmd_score(args) -> None:
     ensemble, tfidf = _load_model(args.model)
     deduped, _report = _filtered_docs(args.docs, args.min_words, args.jaccard)
-    results = credibility.predict_pages(deduped, ensemble, tfidf)
+    with _naming(args.docs):
+        results = credibility.predict_pages(deduped, ensemble, tfidf)
     credibility.write_scores_csv(
         [(doc.url, result) for doc, result in zip(deduped, results)], args.out
     )
@@ -260,9 +260,10 @@ def _cmd_evaluate(args) -> None:
     ensemble, tfidf = _load_model(args.model)
     labels = credibility.read_labels_csv(args.labels)
     urls = sorted(labels)
-    docs = _docs_for_urls(args.docs, urls, "labelled")
+    docs = _docs_for_urls(args.docs, args.labels, urls)
     gold = [labels[u] for u in urls]
-    report = credibility.evaluate_ensemble(docs, gold, ensemble, tfidf)
+    with _naming(args.docs):
+        report = credibility.evaluate_ensemble(docs, gold, ensemble, tfidf)
     _write_json(report, args.out)
     credibility.write_label_distribution_csv(gold, args.distribution)
 
@@ -287,14 +288,15 @@ def _cmd_kappa(args) -> None:
 def _cmd_terms(args) -> None:
     scored = credibility.read_scores_csv(args.scores)
     urls = sorted(scored)
-    docs = _docs_for_urls(args.docs, urls, "scored")
+    docs = _docs_for_urls(args.docs, args.scores, urls)
     # Each side's document frequencies, from one pass over the pages.
     low_df, other_df = Counter(), Counter()
     n_low = 0
-    for url, doc in zip(urls, docs):
-        low = scored[url].bucket == "low"
-        n_low += low
-        (low_df if low else other_df).update(set(tokenize(clean_text(doc.text))))
+    with _naming(args.docs):
+        for url, doc in zip(urls, docs):
+            low = scored[url].bucket == "low"
+            n_low += low
+            (low_df if low else other_df).update(set(credibility.page_tokens(doc)))
     with _naming(args.scores):
         vocab = textprep.vocabulary_from_df(low_df + other_df, len(urls), args.min_df)
         ranked = stats.term_significance_from_df(

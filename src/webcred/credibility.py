@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,16 +26,6 @@ from .svm import SvmModel
 from .textprep import TfIdfModel, clean_text, tokenize, transform, transform_docs
 
 N_CRITERIA = 7
-
-CRITERIA_DESCRIPTIONS = {
-    1: "information is based on objective, scientific research",
-    2: "adequate detail about the level of evidence is included",
-    3: "uncertainties and limitations of the research are described",
-    4: "evidence is not exaggerated, overstated or misrepresented",
-    5: "context for the research is provided",
-    6: "language is clear, non-technical and easy to understand",
-    7: "sponsorship and funding are transparent",
-}
 
 BUCKETS = ("low", "medium", "high")
 
@@ -78,9 +68,9 @@ def score_from_labels(labels: Sequence[int]) -> CredibilityResult:
 
 @dataclass
 class EnsembleEntry:
-    """One criterion's chosen model plus the CV numbers that justified it."""
+    """One criterion's chosen model plus the CV numbers that justified it;
+    ``EnsembleModel.entries`` keys it by its criterion."""
 
-    criterion: int
     family: str
     model: SvmModel | ForestModel
     provenance: dict[str, dict[str, float]]
@@ -131,7 +121,6 @@ def build_ensemble(
                 f"no trained {family} model supplied for criterion {criterion}"
             )
         entries[criterion] = EnsembleEntry(
-            criterion=criterion,
             family=family,
             model=model,
             provenance={f: stats[(criterion, f)] for f in FAMILIES},
@@ -139,22 +128,24 @@ def build_ensemble(
     return EnsembleModel(entries=entries)
 
 
+def page_tokens(doc: WebDocument) -> list[str]:
+    """The tokens of ``doc``'s cleaned text, the one rule every stage that
+    featurizes pages follows: a page with no text left after cleaning
+    raises DataError naming its url."""
+    cleaned = clean_text(doc.text)
+    if not cleaned:
+        raise DataError(f"document {doc.url}: no text left after cleaning")
+    return tokenize(cleaned)
+
+
 def predict_pages(
     docs: Iterable[WebDocument], ensemble: EnsembleModel, tfidf: TfIdfModel
 ) -> list[CredibilityResult]:
-    """Clean, tokenize and vectorize the pages into one CSR batch, one page
-    at a time, then apply each of the 7 criterion models to all of its rows
-    at once.  Raises DataError for the first page with no text left after
-    cleaning."""
-
-    def tokenized() -> Iterator[list[str]]:
-        for doc in docs:
-            cleaned = clean_text(doc.text)
-            if not cleaned:
-                raise DataError(f"document {doc.url}: no text left after cleaning")
-            yield tokenize(cleaned)
-
-    X = transform_docs(tokenized(), tfidf)
+    """Featurize the pages (:func:`page_tokens`) into one CSR batch, one
+    page at a time, then apply each of the 7 criterion models to all of its
+    rows at once.  Raises DataError for the first page with no text left
+    after cleaning."""
+    X = transform_docs(map(page_tokens, docs), tfidf)
     labels = np.column_stack(
         [ensemble.entries[k].model.predict_batch(X) for k in range(1, N_CRITERIA + 1)]
     )
@@ -249,7 +240,6 @@ def ensemble_from_dict(data: dict) -> tuple[EnsembleModel, TfIdfModel]:
         except DataError as exc:
             raise DataError(f"criterion {criterion}: {exc}") from None
         entries[criterion] = EnsembleEntry(
-            criterion=criterion,
             family=item["family"],
             model=model,
             provenance=item.get("provenance", {}),

@@ -79,15 +79,6 @@ class Tree:
     count0: np.ndarray
     count1: np.ndarray
 
-    def predict_batch(self, X: CsrMatrix) -> np.ndarray:
-        """The 0/1 prediction of every row of ``X``."""
-        if self.feature.max() >= X.dim:
-            raise DataError(
-                f"tree splits on feature {self.feature.max()} of "
-                f"{X.dim}-dimensional rows"
-            )
-        return self._votes(_Cells(X), np.zeros(1, dtype=np.intp)).astype(np.int8)
-
     def _votes(self, cells: _Cells, roots: np.ndarray) -> np.ndarray:
         """For each row, the number of trees rooted at ``roots`` in these
         node arrays whose leaf votes 1.  Every (tree, row) pair descends
@@ -107,12 +98,6 @@ class Tree:
             node[active] = np.where(go_left, self.left[at], self.right[at])
         ones = self.count1[node] >= self.count0[node]
         return ones.reshape(len(roots), n).sum(axis=0)
-
-    def predict_dense(self, x: np.ndarray) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        cols = np.flatnonzero(x)
-        row = CsrMatrix(np.array([0, len(cols)]), cols, x[cols], len(x))
-        return int(self.predict_batch(row)[0])
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}

@@ -25,8 +25,8 @@ UNCLASSIFIED = "unclassified"
 
 @dataclass
 class GraphNode:
-    user_id: str
-    follower_count: int
+    """A user in the graph, keyed by user id in ``FollowerGraph.nodes``."""
+
     profile: UserProfile
     node_class: str = UNCLASSIFIED
 
@@ -106,14 +106,7 @@ def build_follower_graph(
     # and max keeps the first of the largest, which applies the tie rule.
     best = max(_components(eligible, adjacency), key=len)
     in_lcc = set(best)
-    nodes = {
-        u: GraphNode(
-            user_id=u,
-            follower_count=profiles[u].follower_count,
-            profile=profiles[u],
-        )
-        for u in best
-    }
+    nodes = {u: GraphNode(profile=profiles[u]) for u in best}
     lcc_edges = [
         (follower, followee)
         for follower, followee in kept
@@ -174,7 +167,7 @@ def _graphml(graph: FollowerGraph) -> str:
         node = graph.nodes[user_id]
         lines.append(f"    <node id={_quoteattr(user_id)}>")
         lines.append(f"      <data key=\"d0\">{_escape(user_id)}</data>")
-        lines.append(f"      <data key=\"d1\">{node.follower_count}</data>")
+        lines.append(f"      <data key=\"d1\">{node.profile.follower_count}</data>")
         lines.append(f"      <data key=\"d2\">{_escape(node.node_class)}</data>")
         lines.append("    </node>")
     for follower, followee in sorted(graph.edges):
@@ -195,7 +188,7 @@ def _dot(graph: FollowerGraph) -> str:
     for user_id in sorted(graph.nodes):
         node = graph.nodes[user_id]
         lines.append(
-            f"  {_dot_quote(user_id)} [follower_count={node.follower_count}, "
+            f"  {_dot_quote(user_id)} [follower_count={node.profile.follower_count}, "
             f"class={_dot_quote(node.node_class)}];"
         )
     for follower, followee in sorted(graph.edges):

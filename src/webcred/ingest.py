@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 from urllib.parse import urlsplit, urlunsplit
 
@@ -63,34 +64,22 @@ class TweetTable:
 
 @dataclass
 class WebDocument:
-    """A webpage's extracted text, keyed by its normalized URL.
-
-    ``language`` is detected from the text on first read and cached, so
-    stages that never look at it (``cv``, ``train``, ``terms``, …) run no
-    detection; passing ``language=`` sets it outright.
-    """
+    """A webpage's extracted text, keyed by its normalized URL."""
 
     url: str
     text: str
     word_count: int = field(default=-1)
-    language: str = field(default="")
 
     def __post_init__(self):
         if self.word_count < 0:
             self.word_count = contiguous_word_count(self.text)
 
-    def _get_language(self) -> str:
-        if not self._language:
-            self._language = detect_language(self.text)[0]
-        return self._language
-
-    def _set_language(self, value: str) -> None:
-        self._language = value
-
-
-# Installed after @dataclass has read the field's "" default, so the
-# generated __init__, repr and eq all go through the lazy property.
-WebDocument.language = property(WebDocument._get_language, WebDocument._set_language)
+    @cached_property
+    def language(self) -> str:
+        """The text's language, detected on first read and cached, so
+        stages that never look at it (``cv``, ``train``, ``terms``, …) run
+        no detection."""
+        return detect_language(self.text)[0]
 
 
 @dataclass
@@ -605,10 +594,3 @@ def dedupe_near_duplicates(
             kept.append(doc)
             kept_shingles.append(sh)
     return sorted(kept, key=lambda d: d.url)
-
-
-def intersect_urlsets(
-    corpus_urls: set[str], reference_urls: set[str]
-) -> tuple[set[str], set[str]]:
-    """Exact intersection and corpus-only difference of normalized URL sets."""
-    return corpus_urls & reference_urls, corpus_urls - reference_urls

@@ -78,10 +78,6 @@ class GridResult:
     table: list[GridPoint]
     best_index: int
 
-    @property
-    def best_params(self) -> dict:
-        return self.table[self.best_index].params
-
 
 def pick_best(candidates: Sequence) -> int:
     """The index of the candidate with the highest ``f1_mean``, then the

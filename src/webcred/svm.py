@@ -70,9 +70,6 @@ class SvmModel:
         """The 0/1 prediction of every row of ``X``."""
         return (self.decision_batch(X) >= 0.0).astype(np.int8)
 
-    def decision_function(self, x: SparseVector) -> float:
-        return float(self.decision_batch(to_csr([x]))[0])
-
     def predict(self, x: SparseVector) -> int:
         return int(self.predict_batch(to_csr([x]))[0])
 

@@ -154,9 +154,6 @@ class SparseVector:
         dense[self.indices] = self.values
         return dense
 
-    def l1(self) -> float:
-        return float(np.abs(self.values).sum())
-
 
 class CsrMatrix(NamedTuple):
     """Sparse rows as CSR arrays: row i has the strictly increasing columns

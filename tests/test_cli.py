@@ -541,7 +541,11 @@ class TestExitCodes:
                    "--out", str(tmp_path / "cv.csv"),
                    "--manifest", str(tmp_path / "m.json")])
         assert rc == 1
-        assert "missing" in capsys.readouterr().err
+        assert_one_error_line(
+            capsys.readouterr().err,
+            f"error: {tmp_path}/labels.csv: 1 urls not in {tmp_path}/webpages.jsonl, "
+            "first: http://ghost.example.org/",
+        )
 
     @pytest.mark.parametrize(
         "bad_file, argv",
@@ -1024,8 +1028,8 @@ def test_train_on_a_corpus_without_shared_terms_exits_1(tmp_path, capsys):
 def test_evaluate_a_page_with_no_text_left_exits_1(pipeline, tmp_path, capsys,
                                                    blank_urls):
     """A labelled page whose text cleans to nothing, among good pages, stops
-    evaluate with one error line naming the first such page in url order,
-    and neither output is written."""
+    evaluate with one error line naming the docs file and the first such
+    page in url order, and neither output is written."""
     fx = pipeline["fx"]
     pages = (fx / "webpages.jsonl").read_text()
     labels = (fx / "labels.csv").read_text()
@@ -1042,11 +1046,55 @@ def test_evaluate_a_page_with_no_text_left_exits_1(pipeline, tmp_path, capsys,
                "--manifest", f"{tmp_path}/m.json"])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: document http://doc05b.example.org/: no text left after cleaning\n"
+        f"error: {tmp_path}/webpages.jsonl: document http://doc05b.example.org/: "
+        "no text left after cleaning\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "labels.csv", "webpages.jsonl"
     ]
+
+
+# Each stage's options besides --docs, --out and --manifest.
+NO_TEXT_STAGES = {
+    "cv": ["--labels", "{fx}/labels.csv", "--folds", "3", "--rf-estimators", "3"],
+    "train": ["--labels", "{fx}/labels.csv", "--cv-report", "{d}/cv.csv",
+              "--rf-estimators", "3"],
+    "grid": ["--labels", "{fx}/labels.csv", "--criterion", "1", "--family", "svm",
+             "--folds", "3", "--grid", '{{"C": [1]}}'],
+    "evaluate": ["--labels", "{fx}/labels.csv", "--model", "{out}/model.json"],
+    "terms": ["--scores", "{out}/scores.csv"],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(NO_TEXT_STAGES))
+def test_a_labelled_page_with_no_text_left_exits_1_naming_the_docs(
+    pipeline, tmp_path, capsys, stage
+):
+    """Every stage that tokenizes labelled or scored pages applies one rule:
+    a page whose text cleans to nothing stops it with one error line that
+    names ``--docs`` and the page.  (``score`` filters its pages first, and
+    such a page is never English, so it is dropped there.)"""
+    fx, out = pipeline["fx"], pipeline["out"]
+    first = doc_url(0)
+    assert first in read_scores_csv(out / "scores.csv")
+    lines = (fx / "webpages.jsonl").read_text().splitlines()
+    pages = [json.loads(line) for line in lines]
+    assert min(page["url"] for page in pages) == first
+    for page in pages:
+        if page["url"] == first:
+            page["text"] = "☃☃☃ ☃"
+    docs = tmp_path / "webpages.jsonl"
+    docs.write_text("".join(json.dumps(page) + "\n" for page in pages))
+    write_cv_report(tmp_path / "cv.csv", "svm")
+    argv = [stage, "--docs", str(docs),
+            *(o.format(fx=fx, out=out, d=tmp_path) for o in NO_TEXT_STAGES[stage]),
+            "--out", f"{tmp_path}/out", "--manifest", f"{tmp_path}/m.json"]
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {docs}: document {first}: no text left after cleaning\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cv.csv", "webpages.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """The one-line-error contract, checked as a whole.
 
 Every stage, given a mutated copy of one of its own good inputs, exits 0,
-or exits 1 with exactly one stderr line that starts ``error: `` and leaves
-its outputs as they were: each output path holds a sentinel before the
-run, and on exit 1 every sentinel and the directory listing are unchanged.
+or exits 1 with exactly one stderr line that starts ``error: ``, names the
+path of one of the stage's input files, and leaves its outputs as they
+were: each output path holds a sentinel before the run, and on exit 1
+every sentinel and the directory listing are unchanged.
 The mutations are drawn by hypothesis with ``derandomize=True``, so every
 run checks the same examples:
 
@@ -188,6 +189,7 @@ def test_a_mutated_input_exits_0_or_1_with_one_error_line(
         if rc == 1:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert any(str(d / other) in err for other in names), err
             assert listing(d) == before
         shutil.rmtree(d)
 

@@ -148,7 +148,6 @@ def as_webdocs(token_docs):
             url=f"http://doc{i:02d}.example.org/",
             text=" ".join(tokens),
             word_count=len(tokens),
-            language="en",
         )
         for i, tokens in enumerate(token_docs)
     ]
@@ -173,10 +172,7 @@ class TestEnsemble:
 
     def test_empty_document_rejected(self):
         ensemble, tfidf, _, _ = train_toy_ensemble()
-        blank = WebDocument(
-            url="http://blank.example.org/", text="   ", word_count=0,
-            language="und",
-        )
+        blank = WebDocument(url="http://blank.example.org/", text="   ", word_count=0)
         with pytest.raises(DataError):
             predict_credibility(blank, ensemble, tfidf)
 

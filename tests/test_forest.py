@@ -154,8 +154,15 @@ class TestTraining:
 
 class TestTieRules:
     def test_leaf_tie_predicts_class_one(self):
-        tree = leaf_tree(2, 2)
-        assert tree.predict_dense(np.zeros(1)) == 1
+        model = ForestModel(
+            trees=[leaf_tree(2, 2)],
+            n_features=1,
+            n_estimators=1,
+            min_impurity_split=1e-7,
+            seed=0,
+        )
+        x = SparseVector(np.array([], dtype=np.int32), np.array([]), 1)
+        assert model.predict(x) == 1
 
     def test_forest_vote_tie_predicts_class_one(self):
         model = ForestModel(

@@ -112,7 +112,7 @@ class TestBuildFollowerGraph:
             ("mix2", "mix1"),
         ]
         assert graph.dropped_edges == 4
-        assert graph.nodes["h3"].follower_count == 7000
+        assert graph.nodes["h3"].profile is profiles["h3"]
 
     def test_matches_bfs_oracle_on_random_graphs(self):
         rng = random.Random(20260814)
@@ -230,7 +230,7 @@ class TestGraphmlExport:
         for user_id, node in graph.nodes.items():
             attrs = parsed.nodes[user_id]
             assert attrs["user_id"] == user_id
-            assert attrs["follower_count"] == node.follower_count
+            assert attrs["follower_count"] == node.profile.follower_count
             assert attrs["class"] == node.node_class
 
     def test_special_characters_survive_round_trip(self):

@@ -23,7 +23,6 @@ from webcred.ingest import (
     contiguous_word_count,
     dedupe_near_duplicates,
     filter_corpus,
-    intersect_urlsets,
     jaccard,
     load_webpages,
     normalize_url,
@@ -661,10 +660,9 @@ class TestLoadWebpages:
         assert doc.language == "en"
         assert len(calls) == 1
 
-    def test_explicit_language_is_never_detected(self, monkeypatch):
-        monkeypatch.setattr(ingest, "detect_language", pytest.fail)
-        doc = WebDocument(url="http://a.org/", text=FRENCH_BLOCK, language="en")
-        assert doc.language == "en"
+    def test_language_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            WebDocument(url="http://a.org/", text=FRENCH_BLOCK, language="en")
 
 
 class TestFilterCorpus:
@@ -958,11 +956,3 @@ class TestShingleIds:
             "",
         ]
         assert_ids_match_shingles(texts)
-
-
-def test_intersect_urlsets():
-    corpus = {"a", "b", "c"}
-    reference = {"b", "c", "d"}
-    both, corpus_only = intersect_urlsets(corpus, reference)
-    assert both == {"b", "c"}
-    assert corpus_only == {"a"}

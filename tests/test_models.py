@@ -37,7 +37,7 @@ class TestGridSearch:
             assert point.f1_std.hex() == float(np.std(f1s)).hex()
             assert point.acc_mean.hex() == float(np.mean(accs)).hex()
             assert point.acc_std.hex() == float(np.std(accs)).hex()
-        assert result.best_params == best_by_rule(result.table)
+        assert result.table[result.best_index].params == best_by_rule(result.table)
 
     def test_ties_break_on_accuracy_then_enumeration_order(self, monkeypatch):
         canned = [
@@ -55,8 +55,8 @@ class TestGridSearch:
         monkeypatch.setattr(webcred.eval, "crossvalidate_candidates", fake)
         result = grid_search([], [], "rf", {"n_estimators": [1, 2, 3, 4]})
         assert seen == [("rf", {"n_estimators": n}) for n in (1, 2, 3, 4)]
-        assert result.best_params == {"n_estimators": 3}
         assert result.best_index == 2
+        assert result.table[2].params == {"n_estimators": 3}
 
     def test_grid_points_are_the_product_in_declaration_order(self):
         # svm's only grid parameter is C; a linear kernel has no gamma.

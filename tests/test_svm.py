@@ -144,11 +144,11 @@ class TestValidation:
         with pytest.raises(DataError):
             train_linear_svm([sv({0: 1.0}, 2)], [1], C=1.0, seed=0)
 
-    def test_decision_function_checks_dimension(self):
+    def test_decision_batch_checks_dimension(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         model = train_linear_svm(X, [1, 0], C=1.0, seed=0)
         with pytest.raises(DataError):
-            model.decision_function(sv({0: 1.0}, 3))
+            model.decision_batch(to_csr([sv({0: 1.0}, 3)]))
 
 
 class TestSolverProperties:
@@ -196,8 +196,8 @@ class TestSolverProperties:
         C = 10.0
         primals, duals, model = objective_histories(X, y, C, 1)
         hinge = sum(
-            max(0.0, 1.0 - (1.0 if label else -1.0) * model.decision_function(x))
-            for x, label in zip(X, y)
+            max(0.0, 1.0 - (1.0 if label else -1.0) * decision)
+            for decision, label in zip(model.decision_batch(to_csr(X)).tolist(), y)
         )
         primal = (
             0.5 * (model.weights @ model.weights + (BIAS_SCALE * model.bias) ** 2)
