@@ -11,13 +11,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import pickle
 import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from . import __version__, _kernels, credibility, eval as evalmod, exposure, graph
 from . import ingest, models, stats, textprep
@@ -154,6 +157,121 @@ def _cmd_ingest(args) -> None:
     _write_json(payload, args.report)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _run_share(fn: Callable, items: list, share: range) -> list[tuple[bool, object]]:
+    """``(True, fn(items[i]))`` for each index ``i`` of ``share`` in turn, up
+    to the first call that raises, which ends the list as ``(False, exc)``:
+    the later items cannot change which exception is raised."""
+    outcomes = []
+    for i in share:
+        try:
+            outcomes.append((True, fn(items[i])))
+        except Exception as exc:
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _fork_share(fn: Callable, items: list, share: range) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``_run_share`` and pickles its outcomes into a
+    pipe; returns the child's pid and the read end of the pipe.  The child
+    never returns into the caller: it leaves through ``os._exit``."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        payload = memoryview(pickle.dumps(_run_share(fn, items, share)))
+        while payload:  # os._exit closes the pipe
+            payload = payload[os.write(write_fd, payload):]
+        status = 0
+    finally:
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(status)
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started without it
+            stream.flush()
+
+
+def _fork_map(fn: Callable, items: Iterable, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]``, computed by ``workers`` processes
+    (default: one per usable CPU, at most one per item).
+
+    The items are dealt round-robin into one share per worker.  This
+    process computes the first share while one forked child computes each
+    other share; every child is a copy-on-write image of this process, so
+    ``fn`` and the items need no pickling, only the results and
+    exceptions do.  When calls raise, the exception of the lowest such
+    item is re-raised, as the serial loop would.  A child that ends
+    without sending its outcomes raises ChildProcessError.  The call runs
+    serially in this process without ``os.fork``, with one worker or while
+    another thread runs, since a fork copies only the calling thread.
+    """
+    items = list(items)
+    workers = min(_usable_cpus() if workers is None else workers, len(items))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return [fn(item) for item in items]
+    shares = [range(w, len(items), workers) for w in range(workers)]
+    _flush_std_streams()  # or each child would write the buffered text again
+    children: dict[int, tuple[range, BinaryIO]] = {}
+    outcomes: dict[int, tuple[bool, object]] = {}
+    try:
+        for share in shares[1:]:
+            pid, reader = _fork_share(fn, items, share)
+            children[pid] = share, reader
+        outcomes.update(zip(shares[0], _run_share(fn, items, shares[0])))
+        for pid, (share, reader) in list(children.items()):
+            with reader:
+                payload = reader.read()
+            _pid, status = os.waitpid(pid, 0)
+            del children[pid]
+            try:
+                outcomes.update(zip(share, pickle.loads(payload)))
+            except (EOFError, pickle.UnpicklingError):  # no or cut-off payload
+                code = os.waitstatus_to_exitcode(status)
+                outcomes[share[0]] = False, ChildProcessError(
+                    f"worker process {pid} ended with exit code {code} "
+                    f"before sending its results"
+                )
+    finally:
+        if children:  # this process raised or was interrupted
+            from signal import SIGKILL  # here: the CLI imports no module more
+
+            for pid, (_share, reader) in children.items():
+                reader.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    results = []
+    # Each share's outcomes stop at its first failure, so an index with no
+    # outcome comes after a failure in its own share and is never reached.
+    for i in range(len(items)):
+        ok, value = outcomes[i]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def _cmd_cv(args) -> None:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     if not families:
@@ -166,16 +284,24 @@ def _cmd_cv(args) -> None:
         if family in families[:i]:
             raise DataError(f"--families names {family!r} twice")
     params = _model_params(args)
-    _urls, token_docs, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
-    report = evalmod.cross_validate(
-        token_docs,
-        labels_by_criterion,
-        families=families,
-        params_by_family=params,
-        k=args.folds,
-        seed=args.seed,
-    )
-    report.write_csv(args.out)
+    _urls, term_counts, labels_by_criterion = _labelled_corpus(args.docs, args.labels)
+    pages = textprep.intern_pages(term_counts)
+
+    def criterion_rows(criterion: int) -> list[evalmod.CvRow]:
+        return evalmod.cross_validate(
+            pages,
+            {criterion: labels_by_criterion[criterion]},
+            families=families,
+            params_by_family=params,
+            k=args.folds,
+            seed=args.seed,
+        ).rows
+
+    # The criteria share no state and each fold's seed is fixed, so each
+    # CPU cross-validates its share of them and the report is the same.
+    per_criterion = _fork_map(criterion_rows, sorted(labels_by_criterion))
+    rows = [row for criterion in per_criterion for row in criterion]
+    evalmod.CvReport(rows, folds=args.folds).write_csv(args.out)
 
 
 def _cmd_train(args) -> None:

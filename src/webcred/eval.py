@@ -234,7 +234,7 @@ def crossvalidate_criterion(
 
 
 def cross_validate(
-    token_docs: Sequence[Sequence[str]],
+    token_docs: Sequence[Sequence[str]] | InternedPages,
     labels_by_criterion: dict[int, Sequence[int]],
     families: Sequence[str] = FAMILIES,
     params_by_family: dict[str, dict] | None = None,
@@ -244,9 +244,12 @@ def cross_validate(
     """Fold-averaged F1/accuracy for every criterion and model family.
 
     All families of a criterion share its folds and fold features, and
-    every criterion the documents' interned terms.
+    every criterion the documents' interned terms.  A document may be its
+    tokens or their ``Counter``; documents already interned are not
+    interned again, so callers that split the criteria across calls intern
+    them once.
     """
-    pages = intern_pages(token_docs)
+    pages = _interned(token_docs)
     candidates = [
         (family, (params_by_family or {}).get(family)) for family in families
     ]

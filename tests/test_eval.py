@@ -16,6 +16,7 @@ from webcred.eval import (
     read_cv_report_csv,
     stratified_kfold,
 )
+from webcred.textprep import intern_pages
 
 
 def oracle_f1_accuracy(y_true, y_pred):
@@ -197,3 +198,12 @@ class TestSharedFolds:
             assert row.f1_std.hex() == float(np.std(f1s)).hex()
             assert row.acc_mean.hex() == float(np.mean(accs)).hex()
             assert row.acc_std.hex() == float(np.std(accs)).hex()
+
+    def test_interned_pages_give_the_token_lists_report(self):
+        docs, labels = make_marker_corpus(40, seed=38, fidelity=0.7)
+        labels_by_criterion = {1: labels, 4: labels[2:] + labels[:2]}
+        from_tokens = cross_validate(docs, labels_by_criterion, k=4, seed=5)
+        from_interned = cross_validate(
+            intern_pages(docs), labels_by_criterion, k=4, seed=5
+        )
+        assert from_interned == from_tokens
